@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-json vet fmt fmt-check lint chaos serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-json vet fmt fmt-check lint chaos fuzz-codec serve-smoke serve-smoke-durable
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,18 @@ race:
 # run with CHAOS_SEED=<seed> make chaos.
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos
+
+# fuzz-codec fuzzes every decoder of the consensus-path binary codec
+# (the FuzzDecode* targets in internal/pbft and internal/chain) for
+# 20 s each. Their seed corpora already run under `make test`; this
+# explores past them. go test fuzzes one target per run, hence the loop.
+fuzz-codec:
+	@set -e; for pkg in ./internal/pbft ./internal/chain; do \
+		for target in $$($(GO) test -list '^FuzzDecode' $$pkg | grep '^FuzzDecode'); do \
+			echo "fuzz-codec: $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 20s $$pkg; \
+		done; \
+	done
 
 # serve-smoke is the deployment smoke test: boot a real prever-server
 # process on an ephemeral port, drive it with the remote open-loop bench

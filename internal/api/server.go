@@ -59,7 +59,9 @@ func writeSubmitErr(w http.ResponseWriter, err error) {
 // decode reads a strict JSON body: unknown fields, trailing garbage and
 // oversized bodies are validation errors. The size limit is generous —
 // per-transaction bounds are enforced semantically (conf.MaxTxBytes →
-// 413), this one only stops a runaway request body.
+// 413, counted on the transaction's canonical binary encoding, so a
+// value's base64 inflation in the JSON body does not count against
+// it), this one only stops a runaway request body.
 func decode(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)

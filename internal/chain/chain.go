@@ -14,7 +14,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -65,21 +64,15 @@ type Block struct {
 	Hash     [32]byte `json:"hash"`
 }
 
-func txBytes(tx Tx) []byte {
-	b, err := json.Marshal(tx)
-	if err != nil {
-		panic(fmt.Sprintf("chain: marshal tx: %v", err))
+func txLeaves(txs []Tx) [][]byte {
+	leaves := make([][]byte, len(txs))
+	for i, tx := range txs {
+		leaves[i] = txBytes(tx)
 	}
-	return b
+	return leaves
 }
 
-func txRoot(txs []Tx) [32]byte {
-	t := merkle.New()
-	for _, tx := range txs {
-		t.Append(txBytes(tx))
-	}
-	return [32]byte(t.Root())
-}
+func txRoot(txs []Tx) [32]byte { return leafRoot(txLeaves(txs)) }
 
 func blockHash(b *Block) [32]byte {
 	h := sha256.New()
@@ -177,6 +170,7 @@ func (p *Peer) StagePrivateValue(txID string, value []byte) {
 }
 
 // applyBatch turns one executed PBFT batch into a block and applies it.
+// leaves[i] is txs[i]'s canonical encoding, as it arrived in the batch.
 // Transactions whose ID already applied are dropped first: a consensus
 // client that times out and retries can commit the same transaction into
 // two instances, and this filter is what keeps the chain exactly-once.
@@ -185,11 +179,12 @@ func (p *Peer) StagePrivateValue(txID string, value []byte) {
 // drops the same duplicates and the chains stay identical (a TTL filter
 // here would make the drop decision depend on wall-clock timing and let
 // replicas diverge).
-func (p *Peer) applyBatch(txs []Tx) {
+func (p *Peer) applyBatch(txs []Tx, leaves [][]byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fresh := make([]Tx, 0, len(txs))
-	for _, tx := range txs {
+	fresh := txs[:0]
+	freshLeaves := leaves[:0]
+	for i, tx := range txs {
 		if tx.ID != "" {
 			if p.appliedTx[tx.ID] {
 				continue
@@ -197,6 +192,7 @@ func (p *Peer) applyBatch(txs []Tx) {
 			p.appliedTx[tx.ID] = true
 		}
 		fresh = append(fresh, tx)
+		freshLeaves = append(freshLeaves, leaves[i])
 	}
 	if len(fresh) == 0 {
 		return
@@ -204,7 +200,7 @@ func (p *Peer) applyBatch(txs []Tx) {
 	txs = fresh
 	blk := Block{
 		Height: uint64(len(p.blocks)),
-		TxRoot: txRoot(txs),
+		TxRoot: leafRoot(freshLeaves),
 		Txs:    txs,
 	}
 	if len(p.blocks) > 0 {
@@ -287,8 +283,8 @@ func (p *Peer) ProveTx(height uint64, txIdx int) (merkle.InclusionProof, Tx, err
 		return merkle.InclusionProof{}, Tx{}, fmt.Errorf("chain: tx index %d out of range", txIdx)
 	}
 	t := merkle.New()
-	for _, tx := range blk.Txs {
-		t.Append(txBytes(tx))
+	for _, leaf := range txLeaves(blk.Txs) {
+		t.Append(leaf)
 	}
 	proof, err := t.ProveInclusion(txIdx, len(blk.Txs))
 	if err != nil {
@@ -370,11 +366,15 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		peer := newPeer(id, memberOf(id))
 		s.peers = append(s.peers, peer)
 		applier := func(_ uint64, batch []pbft.Request) {
+			// Each op is a transaction's canonical encoding, computed
+			// once at SubmitAsync; it becomes the block's Merkle leaf
+			// as is, so no peer re-encodes it.
 			txs := make([]Tx, 0, len(batch))
+			leaves := make([][]byte, 0, len(batch))
 			decode := func(op []byte) {
-				var tx Tx
-				if json.Unmarshal(op, &tx) == nil {
+				if tx, err := parseTx(op); err == nil {
 					txs = append(txs, tx)
+					leaves = append(leaves, op)
 				}
 			}
 			for _, req := range batch {
@@ -390,7 +390,7 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 				}
 			}
 			if len(txs) > 0 {
-				peer.applyBatch(txs)
+				peer.applyBatch(txs, leaves)
 			}
 		}
 		var replica *pbft.Replica

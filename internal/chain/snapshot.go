@@ -1,23 +1,19 @@
 package chain
 
 import (
-	"encoding/json"
 	"fmt"
 
+	"prever/internal/codec"
 	"prever/internal/store"
 )
 
-// peerSnapshot is a Peer's durable image. The block chain is the source
-// of truth: world state, private-collection hashes, prepared cross-shard
-// writes, and the applied-transaction dedup set are all deterministic
-// replays of it, so only the blocks are stored and everything else is
-// rebuilt (and re-verified) on Restore.
-type peerSnapshot struct {
-	Format string  `json:"format"`
-	Blocks []Block `json:"blocks"`
-}
-
-const peerSnapFormat = "prever/chain/peer/v1"
+// A Peer's durable image is its block chain: world state, private-
+// collection hashes, prepared cross-shard writes, and the applied-
+// transaction dedup set are all deterministic replays of it, so only the
+// blocks are stored and everything else is rebuilt (and re-verified) on
+// Restore. The image is the format string, then the block count and each
+// block in the codec framing.
+const peerSnapFormat = "prever/chain/peer/v2"
 
 // Snapshot encodes the peer's chain for a consensus-layer snapshot
 // (wal.Snapshotter). Private collection VALUES are not included: they
@@ -26,28 +22,32 @@ const peerSnapFormat = "prever/chain/peer/v1"
 func (p *Peer) Snapshot() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return json.Marshal(peerSnapshot{Format: peerSnapFormat, Blocks: p.blocks})
+	w := codec.NewWriter(4096)
+	w.String(peerSnapFormat)
+	codec.WriteList(w, p.blocks, (*Block).encode)
+	return w.Bytes(), nil
 }
 
 // Restore replaces the peer's state with a snapshot: the chain is
 // re-verified (hash links, transaction roots) and every block is
 // re-applied, rebuilding world state, prepared cross-shard writes, and
-// the exactly-once dedup set. A corrupt or tampered snapshot is rejected
-// before any state changes.
+// the exactly-once dedup set. A corrupt or tampered snapshot, or one in
+// another format, is rejected before any state changes.
 func (p *Peer) Restore(data []byte) error {
-	var snap peerSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	rd := codec.NewReader(data)
+	if f := rd.String(); f != peerSnapFormat {
+		return fmt.Errorf("chain: peer snapshot format %s found, want %s: refusing to read it", codec.ForeignFormat(data, "unlabelled JSON"), peerSnapFormat)
+	}
+	blocks := codec.ReadList(rd, minBlockSize, (*Block).decode)
+	if err := rd.Done(); err != nil {
 		return fmt.Errorf("chain: decoding peer snapshot: %w", err)
 	}
-	if snap.Format != peerSnapFormat {
-		return fmt.Errorf("chain: unknown peer snapshot format %q", snap.Format)
-	}
-	if bad, err := VerifyBlocks(snap.Blocks); err != nil {
+	if bad, err := VerifyBlocks(blocks); err != nil {
 		return fmt.Errorf("chain: snapshot chain invalid at block %d: %w", bad, err)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.blocks = append([]Block(nil), snap.Blocks...)
+	p.blocks = blocks
 	p.state = store.NewKV()
 	for coll := range p.private {
 		p.private[coll] = store.NewKV()

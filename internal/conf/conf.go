@@ -39,7 +39,9 @@ type Config struct {
 	// for duplicate suppression (retried ops inside the window are acked,
 	// not re-proposed). Entries survive between TTL and 2×TTL.
 	DedupTTL time.Duration
-	// MaxTxBytes bounds one encoded transaction on the submit path;
+	// MaxTxBytes bounds one transaction's canonical binary encoding
+	// (the bytes consensus carries: the value plus a few dozen bytes of
+	// framing, with no base64 or JSON inflation) on the submit path;
 	// larger submissions fail with chain.ErrTxTooLarge (HTTP 413 on the
 	// wire) instead of bloating consensus batches.
 	MaxTxBytes int

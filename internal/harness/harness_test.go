@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"prever/internal/api"
 	"prever/internal/chain"
 	"prever/internal/leaktest"
+	"prever/internal/wal"
 )
 
 // TestMultiProcessCluster is the deployable-artifact test: build the
@@ -279,5 +281,37 @@ func TestStartTimesOutOnSilentServer(t *testing.T) {
 	defer func() { startTimeout = old }()
 	if _, err := Start(script); err == nil || !strings.Contains(err.Error(), "did not print its address") {
 		t.Fatalf("Start(silent server) = %v, want start-timeout error", err)
+	}
+}
+
+// TestServerRefusesStaleDataDir: a server pointed at a data directory
+// written in the JSON (v1) snapshot format exits non-zero, naming the
+// format it found and the one it reads, instead of serving from it.
+func TestServerRefusesStaleDataDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process harness is not -short")
+	}
+	bin, err := BuildServer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := t.TempDir()
+	log, _, err := wal.Open(filepath.Join(data, "shard0", "peer0"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Snapshot([]byte(`{"format":"prever/pbft/snap/v1","view":0,"execSeq":0,"stable":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-data", data).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("server on a v1 data directory: err %v, want a non-zero exit\n%s", err, out)
+	}
+	if want := "snapshot format prever/pbft/snap/v1 found, want prever/pbft/snap/v2"; !strings.Contains(string(out), want) {
+		t.Fatalf("server output does not name %q:\n%s", want, out)
 	}
 }

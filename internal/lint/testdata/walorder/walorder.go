@@ -4,6 +4,8 @@
 package walorder
 
 import (
+	"sync"
+
 	"prever/internal/netsim"
 	"prever/internal/wal"
 )
@@ -23,6 +25,37 @@ func (r *replica) journal(rec []byte) bool {
 // vote is a package-local helper that reaches the network.
 func (r *replica) vote(payload []byte) {
 	r.net.Broadcast(r.id, "vote", payload)
+}
+
+// bufs stands in for the pooled encode buffers a send helper reuses.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// broadcastSealed has the shape of a MAC-once send helper: the body is
+// encoded once into a pooled buffer, then sealed and sent per
+// destination in a loop.
+func (r *replica) broadcastSealed(peers []string, payload []byte) {
+	buf := bufs.Get().(*[]byte)
+	*buf = append((*buf)[:0], payload...)
+	for _, to := range peers {
+		sealed := append(append([]byte(nil), *buf...), to...)
+		r.net.Send(netsim.Message{From: r.id, To: to, Type: "vote", Payload: sealed})
+	}
+	bufs.Put(buf)
+}
+
+// discardedThenSealedBroadcast: the send reached through the pooled,
+// per-destination helper is still a send.
+func (r *replica) discardedThenSealedBroadcast(rec []byte) {
+	_ = r.journal(rec)
+	r.broadcastSealed([]string{"a", "b"}, rec) // want walorder
+}
+
+// checkedThenSealedBroadcast: gated on the outcome, the helper is fine.
+func (r *replica) checkedThenSealedBroadcast(rec []byte) {
+	if !r.journal(rec) {
+		return
+	}
+	r.broadcastSealed([]string{"a", "b"}, rec)
 }
 
 // discardedThenSend: the classic violation — outcome thrown away, then a

@@ -210,15 +210,13 @@ func (r *Replica) journalLocked(rec pxRecord) bool {
 	return true
 }
 
-// maybeSnapshot captures replica + application state and compacts the
-// journal tail once snapEvery slots have been applied since the last
-// snapshot. Called with applyMu held (and mu NOT held): the applier is
+// maybeSnapshotLocked captures replica + application state and
+// compacts the journal tail once snapEvery slots have been applied since
+// the last snapshot. Called with applyMu and mu held: the applier is
 // quiescent, so the application blob is consistent with the applied
 // floor.
-func (r *Replica) maybeSnapshot() {
-	r.mu.Lock()
+func (r *Replica) maybeSnapshotLocked() {
 	if r.log == nil || r.walFailed || r.applied-r.lastSnap < r.snapEvery {
-		r.mu.Unlock()
 		return
 	}
 	snap := pxSnapshot{
@@ -239,7 +237,6 @@ func (r *Replica) maybeSnapshot() {
 	// mu stays held across the write: a record journaled concurrently
 	// would land in a segment the snapshot is about to declare
 	// superseded, silently un-voting this acceptor.
-	defer r.mu.Unlock()
 	if r.logApp != nil {
 		blob, err := r.logApp.Snapshot()
 		if err != nil {
@@ -327,26 +324,16 @@ func (r *Replica) adoptImage(img *pxImage) {
 	// Retained chosen entries contiguous above the image become
 	// applicable the moment the floor jumps; apply them now (outside mu,
 	// applyMu still held) exactly as onLearn would.
-	type applyItem struct {
-		slot  uint64
-		value []byte
-	}
 	var toApply []applyItem
-	for {
-		v, ok := r.chosen[r.applied]
+	for next := r.applied; ; next++ {
+		v, ok := r.chosen[next]
 		if !ok {
 			break
 		}
-		toApply = append(toApply, applyItem{r.applied, v})
-		r.applied++
+		toApply = append(toApply, applyItem{next, v})
 	}
-	apply := r.apply
 	r.mu.Unlock()
-	if apply != nil {
-		for _, it := range toApply {
-			apply(it.slot, it.value)
-		}
-	}
+	r.applyChosen(toApply)
 }
 
 // CloseStorage syncs and closes the WAL. The replica keeps running in

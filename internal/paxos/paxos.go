@@ -683,6 +683,30 @@ func (r *Replica) onAccepted(from string, a acceptedMsg) {
 	r.onLearn(learnMsg{Slot: a.Slot, Value: value})
 }
 
+// applyItem is one chosen slot handed to the Applier.
+type applyItem struct {
+	slot  uint64
+	value []byte
+}
+
+// applyChosen hands chosen slots to the Applier in order, with applyMu
+// held and mu not. The applied floor advances past a slot only once its
+// callback has returned, so Applied (and WaitApplied) never report a
+// value the application has not received; a snapshot the new floor
+// makes due is written in the same critical section, so the floor is
+// not observable before the write finishes either.
+func (r *Replica) applyChosen(items []applyItem) {
+	for _, it := range items {
+		if r.apply != nil {
+			r.apply(it.slot, it.value)
+		}
+		r.mu.Lock()
+		r.applied = it.slot + 1
+		r.maybeSnapshotLocked()
+		r.mu.Unlock()
+	}
+}
+
 // onLearn records a chosen value and applies the contiguous prefix.
 // applyMu is taken before mu and held across the Applier calls: the batch
 // extraction and its application form one critical section, so two racing
@@ -709,18 +733,13 @@ func (r *Replica) onLearn(l learnMsg) {
 	// chosen cluster-wide and recoverable by learn-sync from peers.
 	_ = r.journalLocked(pxRecord{K: pxChosen, S: l.Slot, V: l.Value})
 	// Apply contiguous prefix.
-	type applyItem struct {
-		slot  uint64
-		value []byte
-	}
 	var toApply []applyItem
-	for {
-		v, ok := r.chosen[r.applied]
+	for next := r.applied; ; next++ {
+		v, ok := r.chosen[next]
 		if !ok {
 			break
 		}
-		toApply = append(toApply, applyItem{r.applied, v})
-		r.applied++
+		toApply = append(toApply, applyItem{next, v})
 	}
 	var toWake *slotWaiter
 	var toWakeLost bool
@@ -728,20 +747,9 @@ func (r *Replica) onLearn(l learnMsg) {
 		toWake, toWakeLost = w, !bytes.Equal(w.value, l.Value)
 		delete(r.waiters, l.Slot)
 	}
-	apply := r.apply
 	r.mu.Unlock()
-	if apply != nil {
-		for _, it := range toApply {
-			apply(it.slot, it.value)
-		}
-	}
+	r.applyChosen(toApply)
 	if toWake != nil {
 		toWake.finish(toWakeLost)
-	}
-	if len(toApply) > 0 {
-		// Still under applyMu: no concurrent apply can run, so the
-		// application state observed by maybeSnapshot is exactly the
-		// applied floor.
-		r.maybeSnapshot()
 	}
 }

@@ -2,9 +2,11 @@ package pbft
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"time"
+
+	"prever/internal/codec"
 )
 
 // Batched submission: the mempool's Batcher packs many operations into a
@@ -17,26 +19,33 @@ import (
 
 // batchMagic prefixes encoded batches so appliers can tell a batch
 // request from a bare single-op request.
-var batchMagic = []byte("pbB1")
+var batchMagic = []byte("pbB2")
 
-// EncodeBatch frames ops as one submittable operation.
+// EncodeBatch frames ops as one submittable operation: the magic, then
+// the op count and each op length-prefixed in the codec framing.
 func EncodeBatch(ops [][]byte) []byte {
-	body, err := json.Marshal(ops)
-	if err != nil {
-		// [][]byte always marshals; keep the signature ergonomic.
-		panic(fmt.Sprintf("pbft: encode batch: %v", err))
+	size := len(batchMagic) + binary.MaxVarintLen64
+	for _, op := range ops {
+		size += binary.MaxVarintLen64 + len(op)
 	}
-	return append(append([]byte{}, batchMagic...), body...)
+	w := codec.NewWriter(size)
+	for _, b := range batchMagic {
+		w.Byte(b)
+	}
+	codec.WriteList(w, ops, func(op *[]byte, w *codec.Writer) { w.Blob(*op) })
+	return w.Bytes()
 }
 
 // DecodeBatch unframes a batch operation. ok is false when v is not a
-// batch, in which case the applier should treat v as a single operation.
+// well-formed batch, in which case the applier should treat v as a
+// single operation. The ops alias v.
 func DecodeBatch(v []byte) ([][]byte, bool) {
 	if !bytes.HasPrefix(v, batchMagic) {
 		return nil, false
 	}
-	var ops [][]byte
-	if err := json.Unmarshal(v[len(batchMagic):], &ops); err != nil {
+	rd := codec.NewReader(v[len(batchMagic):])
+	ops := codec.ReadList(rd, 1, func(op *[]byte, rd *codec.Reader) { *op = rd.Blob() })
+	if rd.Done() != nil {
 		return nil, false
 	}
 	return ops, true

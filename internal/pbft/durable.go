@@ -1,10 +1,11 @@
 package pbft
 
 import (
-	"encoding/json"
+	"crypto/sha256"
 	"fmt"
 	"sort"
 
+	"prever/internal/codec"
 	"prever/internal/netsim"
 	"prever/internal/wal"
 )
@@ -16,48 +17,152 @@ import (
 // locally — including the client-seq dedup marks — and only
 // state-transfers the delta).
 const (
-	pbView = "v"  // view switch; Seq carries the new-view NextSeq
-	pbPP   = "pp" // accepted pre-prepare
-	pbCM   = "cm" // prepared certificate (commit vote sent)
-	pbEX   = "ex" // executed batch
+	pbView byte = 1 + iota // view switch; Seq carries the new-view NextSeq
+	pbPP                   // accepted pre-prepare
+	pbCM                   // prepared certificate (commit vote sent)
+	pbEX                   // executed batch
 )
 
+// Durable format versions. A journal record starts with its version
+// byte; a snapshot starts with its format string. Data written by an
+// older format is refused at open, never reinterpreted.
+const (
+	pbRecordVersion byte = 2
+	pbRecordFormat       = "prever/pbft/wal/v2"
+	pbSnapFormat         = "prever/pbft/snap/v2"
+)
+
+// pbRecord is one journal record: version, kind, view, seq, digest,
+// batch, in the codec framing.
 type pbRecord struct {
-	K      string    `json:"k"`
-	View   uint64    `json:"v,omitempty"`
-	Seq    uint64    `json:"s,omitempty"`
-	Digest Digest    `json:"d,omitempty"`
-	Batch  []Request `json:"b,omitempty"`
+	K      byte
+	View   uint64
+	Seq    uint64
+	Digest Digest
+	Batch  []Request
+}
+
+func (rec *pbRecord) encode() []byte {
+	w := codec.NewWriter(64)
+	w.Byte(pbRecordVersion)
+	w.Byte(rec.K)
+	w.Uvarint(rec.View)
+	w.Uvarint(rec.Seq)
+	w.Digest(rec.Digest)
+	encodeBatch(w, rec.Batch)
+	return w.Bytes()
+}
+
+func decodeRecord(b []byte) (pbRecord, error) {
+	var rec pbRecord
+	if len(b) > 0 && b[0] != pbRecordVersion {
+		return rec, staleFormat("journal record", codec.ForeignFormat(b, "prever/pbft/wal/v1 (JSON)"), pbRecordFormat)
+	}
+	rd := codec.NewReader(b)
+	rd.Byte()
+	rec.K = rd.Byte()
+	rec.View = rd.Uvarint()
+	rec.Seq = rd.Uvarint()
+	rec.Digest = rd.Digest()
+	rec.Batch = decodeBatch(rd)
+	if err := rd.Done(); err != nil {
+		return rec, fmt.Errorf("decoding journal record: %w", err)
+	}
+	if rec.K < pbView || rec.K > pbEX {
+		return rec, fmt.Errorf("decoding journal record: %w: kind %d", codec.ErrMalformed, rec.K)
+	}
+	return rec, nil
+}
+
+// staleFormat is the refusal for durable data in a format this build
+// does not read.
+func staleFormat(what, found, want string) error {
+	return fmt.Errorf("%s format %s found, want %s: the data directory was written by another version; refusing to read it", what, found, want)
 }
 
 type pbSnapshot struct {
-	Format   string   `json:"format"`
-	View     uint64   `json:"view"`
-	ExecSeq  uint64   `json:"execSeq"`
-	Stable   uint64   `json:"stable"`
-	Executed []string `json:"executed,omitempty"` // executedR dedup keys
-	App      []byte   `json:"app,omitempty"`
+	View     uint64
+	ExecSeq  uint64
+	Stable   uint64
+	Executed []reqID // executedR dedup keys, sorted
+	App      []byte
 	// In-flight instances at snapshot time. Snapshotting compacts the
 	// journal segments that held these instances' pbPP/pbCM records, so
 	// without carrying them here a snapshot would silently destroy
 	// durable pre-prepares and prepared certificates for everything
 	// above the execution floor — votes this replica already sent.
-	Insts []pbInstSnap `json:"insts,omitempty"`
+	Insts []pbInstSnap
 }
 
 type pbInstSnap struct {
-	Seq         uint64    `json:"q"`
-	Digest      Digest    `json:"d,omitempty"`
-	Batch       []Request `json:"b,omitempty"`
-	PrePrepared bool      `json:"pp,omitempty"`
-	Committed   bool      `json:"cm,omitempty"`
-	CertSet     bool      `json:"cs,omitempty"`
-	CertView    uint64    `json:"cv,omitempty"`
-	CertDigest  Digest    `json:"cd,omitempty"`
-	CertBatch   []Request `json:"cb,omitempty"`
+	Seq         uint64
+	Digest      Digest
+	Batch       []Request
+	PrePrepared bool
+	Committed   bool
+	CertSet     bool
+	CertView    uint64
+	CertDigest  Digest
+	CertBatch   []Request
 }
 
-const pbSnapFormat = "prever/pbft/snap/v1"
+// minInstSize is a pbInstSnap's smallest encoding: seq, digest, empty
+// batch, three flags, cert view, cert digest, empty cert batch.
+const minInstSize = 7 + 2*sha256.Size
+
+func (s *pbSnapshot) encode() []byte {
+	w := codec.NewWriter(64 + len(s.App))
+	w.String(pbSnapFormat)
+	w.Uvarint(s.View)
+	w.Uvarint(s.ExecSeq)
+	w.Uvarint(s.Stable)
+	encodeIDs(w, s.Executed)
+	w.Blob(s.App)
+	codec.WriteList(w, s.Insts, (*pbInstSnap).encode)
+	return w.Bytes()
+}
+
+func (is *pbInstSnap) encode(w *codec.Writer) {
+	w.Uvarint(is.Seq)
+	w.Digest(is.Digest)
+	encodeBatch(w, is.Batch)
+	w.Bool(is.PrePrepared)
+	w.Bool(is.Committed)
+	w.Bool(is.CertSet)
+	w.Uvarint(is.CertView)
+	w.Digest(is.CertDigest)
+	encodeBatch(w, is.CertBatch)
+}
+
+func (is *pbInstSnap) decode(rd *codec.Reader) {
+	is.Seq = rd.Uvarint()
+	is.Digest = rd.Digest()
+	is.Batch = decodeBatch(rd)
+	is.PrePrepared = rd.Bool()
+	is.Committed = rd.Bool()
+	is.CertSet = rd.Bool()
+	is.CertView = rd.Uvarint()
+	is.CertDigest = rd.Digest()
+	is.CertBatch = decodeBatch(rd)
+}
+
+func decodeSnapshot(b []byte) (pbSnapshot, error) {
+	var s pbSnapshot
+	rd := codec.NewReader(b)
+	if f := rd.String(); f != pbSnapFormat {
+		return s, staleFormat("snapshot", codec.ForeignFormat(b, "unlabelled JSON"), pbSnapFormat)
+	}
+	s.View = rd.Uvarint()
+	s.ExecSeq = rd.Uvarint()
+	s.Stable = rd.Uvarint()
+	s.Executed = decodeIDs(rd)
+	s.App = rd.Blob()
+	s.Insts = codec.ReadList(rd, minInstSize, (*pbInstSnap).decode)
+	if err := rd.Done(); err != nil {
+		return s, fmt.Errorf("decoding snapshot: %w", err)
+	}
+	return s, nil
+}
 
 // DefaultSnapshotEvery is the executed-sequence cadence between
 // snapshots when DurableOptions leaves SnapshotEvery zero.
@@ -93,43 +198,17 @@ func NewDurableReplica(net *netsim.Network, id string, ids []string, f int, appl
 	if d.Dir == "" {
 		return nil, fmt.Errorf("pbft: durable replica %s needs a data dir", id)
 	}
-	opts.withDefaults()
-	if len(ids) < 3*f+1 {
-		return nil, fmt.Errorf("pbft: need at least 3f+1=%d replicas, have %d", 3*f+1, len(ids))
-	}
-	index := -1
-	for i, x := range ids {
-		if x == id {
-			index = i
-		}
-	}
-	if index < 0 {
-		return nil, fmt.Errorf("pbft: id %q not in replica list", id)
+	r, err := newReplica(net, id, ids, f, apply, opts)
+	if err != nil {
+		return nil, err
 	}
 	log, rec, err := wal.Open(d.Dir, wal.Options{SegmentBytes: d.SegmentBytes, NoSync: d.NoSync})
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{
-		id:         id,
-		index:      index,
-		ids:        append([]string(nil), ids...),
-		f:          f,
-		net:        net,
-		apply:      apply,
-		opts:       opts,
-		insts:      make(map[uint64]*instState),
-		executedR:  make(map[string]bool),
-		waiters:    make(map[Digest][]chan struct{}),
-		ckpts:      make(map[uint64]map[string]bool),
-		vcs:        make(map[uint64]map[string]viewChangeMsg),
-		vcTimers:   make(map[Digest]*vcTimer),
-		execLog:    make(map[uint64]execEntry),
-		stateVotes: make(map[uint64]map[string]execEntry),
-	}
 	if err := r.recoverFromDisk(rec, d.App); err != nil {
 		_ = log.Close()
-		return nil, err
+		return nil, fmt.Errorf("pbft: recovering %s: %w", d.Dir, err)
 	}
 	// Journaling turns on only after replay; re-journaling recovered
 	// records would duplicate the tail on every restart.
@@ -155,12 +234,9 @@ func NewDurableReplica(net *netsim.Network, id string, ids []string, f int, appl
 // replica is registered, so no locking is needed.
 func (r *Replica) recoverFromDisk(rec *wal.Recovery, app wal.Snapshotter) error {
 	if rec.Snapshot != nil {
-		var snap pbSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return fmt.Errorf("pbft: decoding snapshot: %w", err)
-		}
-		if snap.Format != pbSnapFormat {
-			return fmt.Errorf("pbft: unknown snapshot format %q", snap.Format)
+		snap, err := decodeSnapshot(rec.Snapshot)
+		if err != nil {
+			return err
 		}
 		r.view = snap.View
 		r.execSeq = snap.ExecSeq
@@ -172,7 +248,7 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery, app wal.Snapshotter) error 
 		}
 		if app != nil && snap.App != nil {
 			if err := app.Restore(snap.App); err != nil {
-				return fmt.Errorf("pbft: restoring application state: %w", err)
+				return fmt.Errorf("restoring application state: %w", err)
 			}
 		}
 		for _, is := range snap.Insts {
@@ -194,11 +270,11 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery, app wal.Snapshotter) error 
 		}
 	}
 	for _, raw := range rec.Records {
-		var pr pbRecord
-		if err := json.Unmarshal(raw, &pr); err != nil {
-			// Passed the CRC but fails to decode: a bug, not disk
-			// corruption; refuse to guess.
-			return fmt.Errorf("pbft: decoding journal record: %w", err)
+		pr, err := decodeRecord(raw)
+		if err != nil {
+			// Passed the CRC but fails to decode: a stale format or a
+			// bug, not disk corruption; refuse to guess.
+			return err
 		}
 		switch pr.K {
 		case pbView:
@@ -276,10 +352,10 @@ func (r *Replica) reexecuteRecovered(pr pbRecord) {
 	r.execLog[pr.Seq] = execEntry{Seq: pr.Seq, Digest: pr.Digest, Batch: pr.Batch}
 	fresh := pr.Batch[:0:0]
 	for _, req := range pr.Batch {
-		if r.executedR[reqKey(req)] {
+		if r.executedR[idOf(req)] {
 			continue
 		}
-		r.executedR[reqKey(req)] = true
+		r.executedR[idOf(req)] = true
 		fresh = append(fresh, req)
 	}
 	if r.apply != nil && len(fresh) > 0 {
@@ -300,11 +376,7 @@ func (r *Replica) journalLocked(rec pbRecord) bool {
 	if r.walFailed {
 		return tolerant
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		panic(fmt.Sprintf("pbft: marshal journal record: %v", err))
-	}
-	if err := r.log.AppendSync(b); err != nil {
+	if err := r.log.AppendSync(rec.encode()); err != nil {
 		r.walFailed = true
 		return tolerant
 	}
@@ -330,13 +402,10 @@ func (r *Replica) maybeSnapshotLocked(seq uint64) {
 		return
 	}
 	snap := pbSnapshot{
-		Format:  pbSnapFormat,
-		View:    r.view,
-		ExecSeq: r.execSeq,
-		Stable:  r.stable,
-	}
-	for k := range r.executedR {
-		snap.Executed = append(snap.Executed, k)
+		View:     r.view,
+		ExecSeq:  r.execSeq,
+		Stable:   r.stable,
+		Executed: sortedIDs(r.executedR),
 	}
 	for seq, inst := range r.insts {
 		if inst.executed || seq < r.execSeq || (!inst.prePrepared && !inst.certSet) {
@@ -362,11 +431,7 @@ func (r *Replica) maybeSnapshotLocked(seq uint64) {
 		}
 		snap.App = blob
 	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		panic(fmt.Sprintf("pbft: marshal snapshot: %v", err))
-	}
-	if err := r.log.Snapshot(b); err != nil {
+	if err := r.log.Snapshot(snap.encode()); err != nil {
 		r.walFailed = true
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -274,5 +275,74 @@ func TestPBFTDurableCorruptTail(t *testing.T) {
 		if got[i] != fmt.Sprintf("v%02d", i) {
 			t.Fatalf("op[%d] = %q after corrupt-tail recovery", i, got[i])
 		}
+	}
+}
+
+// imageCountingApp counts the state images its replica builds.
+type imageCountingApp struct {
+	*durableSeqApp
+	images atomic.Int64
+}
+
+func (a *imageCountingApp) Snapshot() ([]byte, error) {
+	a.images.Add(1)
+	return a.durableSeqApp.Snapshot()
+}
+
+// TestDurableStragglerImagesBounded is the durable variant of
+// TestStragglerCatchesUpFromStableCheckpoint. A durable replica serves a
+// full application image with every state reply, so the catch-up that a
+// stable checkpoint above the straggler's execution point starts must
+// run once per stable advance, not once per vote or per message: with
+// periodic snapshots disabled, the three up-to-date peers build at most
+// three images per checkpoint. The straggler misses the primary's first
+// pre-prepares outright and then receives everything with jitter, so
+// checkpoint votes can overtake the commits they follow.
+func TestDurableStragglerImagesBounded(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	base := t.TempDir()
+	ids := []string{"r0", "r1", "r2", "r3"}
+	const every, lost, total = 4, 3, 40
+	opts := Options{BatchSize: 1, CheckpointEvery: every, ViewTimeout: 300 * time.Millisecond}
+	var replicas []*Replica
+	var apps []*imageCountingApp
+	for _, id := range ids {
+		app := &imageCountingApp{durableSeqApp: &durableSeqApp{}}
+		r, err := NewDurableReplica(net, id, ids, 1, app.apply, opts, DurableOptions{
+			Dir:           filepath.Join(base, id),
+			App:           app,
+			SnapshotEvery: 1 << 20,
+			NoSync:        true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.CloseStorage() })
+		replicas, apps = append(replicas, r), append(apps, app)
+	}
+	primary, straggler := replicas[0], replicas[3]
+	net.SetLink(primary.ID(), straggler.ID(), netsim.LinkConfig{DropRate: 1})
+	for i := 0; i < total; i++ {
+		if i == lost {
+			for _, r := range replicas[:3] {
+				net.SetLink(r.ID(), straggler.ID(), netsim.LinkConfig{Latency: time.Millisecond, Jitter: 4 * time.Millisecond})
+			}
+		}
+		if err := primary.Submit("cli", uint64(i+1), []byte(fmt.Sprintf("op-%02d", i)), 3*time.Second); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	waitExecuted(t, straggler, primary.Executed(), 2*time.Second)
+	var images int64
+	for _, app := range apps[:3] {
+		images += app.images.Load()
+	}
+	t.Logf("%d state images served for %d checkpoints", images, total/every)
+	if limit := int64(3 * total / every); images > limit {
+		t.Fatalf("%d state images served, want at most %d (three per stable checkpoint)", images, limit)
+	}
+	if got, want := apps[3].ops(), apps[0].ops(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("straggler state diverged:\n got %v\nwant %v", got, want)
 	}
 }

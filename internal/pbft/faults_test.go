@@ -149,3 +149,35 @@ func TestClientFailsOverOnPrimaryCrash(t *testing.T) {
 		}
 	}
 }
+
+// TestStragglerCatchesUpFromStableCheckpoint is the regression test for
+// a backup stuck behind a stable checkpoint. The primary's link to p3
+// drops everything for the first few sequences, so p3 never sees their
+// pre-prepares and, since requests reach only the primary, arms no
+// watchdog for them. Later traffic gets through but cannot execute
+// above the gap, and once checkpoints garbage-collect the gap's
+// instances nothing re-sends them. The checkpoint quorum that proves p3
+// is behind must start a state transfer, so p3 catches up after the
+// traffic stops.
+func TestStragglerCatchesUpFromStableCheckpoint(t *testing.T) {
+	c := newCluster(t, 1, Options{CheckpointEvery: 4}, netsim.Config{})
+	primary, straggler := c.replicas[0], c.replicas[3]
+	c.net.SetLink(primary.ID(), straggler.ID(), netsim.LinkConfig{DropRate: 1})
+	const lost, total = 3, 10
+	for i := 0; i < total; i++ {
+		if i == lost {
+			c.net.ClearLink(primary.ID(), straggler.ID())
+		}
+		if err := primary.Submit("cli", uint64(i+1), []byte(fmt.Sprintf("op-%d", i)), 3*time.Second); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if straggler.Executed() == primary.Executed() {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("straggler executed %d, primary %d: never caught up once traffic stopped", straggler.Executed(), primary.Executed())
+}

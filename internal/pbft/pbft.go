@@ -11,15 +11,14 @@
 package pbft
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"prever/internal/codec"
 	"prever/internal/netsim"
 	"prever/internal/wal"
 )
@@ -47,90 +46,74 @@ type Request struct {
 // Digest identifies a request batch.
 type Digest [32]byte
 
-func digestOf(batch []Request) Digest {
-	h := sha256.New()
-	for _, r := range batch {
-		b, _ := json.Marshal(r)
-		var n [8]byte
-		for i := 0; i < 8; i++ {
-			n[i] = byte(len(b) >> (8 * i))
-		}
-		h.Write(n[:])
-		h.Write(b)
-	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
-}
-
 type prePrepareMsg struct {
-	View   uint64    `json:"view"`
-	Seq    uint64    `json:"seq"`
-	Digest Digest    `json:"digest"`
-	Batch  []Request `json:"batch"`
+	View   uint64
+	Seq    uint64
+	Digest Digest
+	Batch  []Request
 }
 
-type prepareMsg struct {
-	View    uint64 `json:"view"`
-	Seq     uint64 `json:"seq"`
-	Digest  Digest `json:"digest"`
-	Replica string `json:"replica"`
+// voteMsg is a prepare or a commit vote: the two carry the same fields
+// and differ only in the kind byte on the wire.
+type voteMsg struct {
+	View    uint64
+	Seq     uint64
+	Digest  Digest
+	Replica string
 }
 
-type commitMsg struct {
-	View    uint64 `json:"view"`
-	Seq     uint64 `json:"seq"`
-	Digest  Digest `json:"digest"`
-	Replica string `json:"replica"`
-}
+type (
+	prepareMsg = voteMsg
+	commitMsg  = voteMsg
+)
 
 type checkpointMsg struct {
-	Seq     uint64 `json:"seq"`
-	State   Digest `json:"state"`
-	Replica string `json:"replica"`
+	Seq     uint64
+	State   Digest
+	Replica string
 }
 
 // preparedEntry carries a prepared batch inside a view-change message so
 // the new primary can re-propose it.
 type preparedEntry struct {
-	Seq    uint64    `json:"seq"`
-	View   uint64    `json:"view"`
-	Digest Digest    `json:"digest"`
-	Batch  []Request `json:"batch"`
+	Seq    uint64
+	View   uint64
+	Digest Digest
+	Batch  []Request
 }
 
 type viewChangeMsg struct {
-	NewView  uint64          `json:"newView"`
-	Stable   uint64          `json:"stable"`
-	Prepared []preparedEntry `json:"prepared,omitempty"`
-	Replica  string          `json:"replica"`
+	NewView  uint64
+	Stable   uint64
+	Prepared []preparedEntry
+	Replica  string
 	// Exec is the sender's executed floor. A recovered replica holds no
 	// prepared certificates below its snapshot floor (they were compacted
 	// into the snapshot), so the new primary cannot take an absent
 	// certificate below any voter's Exec as proof the sequence never
 	// committed — those sequences are executed history, never null-fill
 	// targets.
-	Exec uint64 `json:"exec,omitempty"`
+	Exec uint64
 }
 
 type newViewMsg struct {
-	View        uint64          `json:"view"`
-	PrePrepares []prePrepareMsg `json:"preprepares,omitempty"`
-	NextSeq     uint64          `json:"nextSeq"`
+	View        uint64
+	PrePrepares []prePrepareMsg
+	NextSeq     uint64
 }
 
 // stateReqMsg asks peers for the executed batches from Have upward —
 // the checkpoint/state-transfer pull a restarted replica uses to catch up.
 type stateReqMsg struct {
-	Have uint64 `json:"have"`
-	View uint64 `json:"view,omitempty"` // requester's view, so peers ahead reply even with no entries
+	Have uint64
+	View uint64 // requester's view, so peers ahead reply even with no entries
 }
 
 // execEntry is one executed batch in a state-transfer reply.
 type execEntry struct {
-	Seq    uint64    `json:"seq"`
-	Digest Digest    `json:"digest"`
-	Batch  []Request `json:"batch"`
+	Seq    uint64
+	Digest Digest
+	Batch  []Request
 }
 
 // stateImage is a full-state checkpoint offered in a state-transfer
@@ -142,27 +125,20 @@ type execEntry struct {
 // agreeing on its digest proves at least one honest replica holds this
 // exact state.
 type stateImage struct {
-	ExecSeq  uint64   `json:"execSeq"`
-	Executed []string `json:"executed,omitempty"` // sorted client-dedup keys
-	App      []byte   `json:"app,omitempty"`
+	ExecSeq  uint64
+	Executed []reqID // sorted client-dedup keys
+	App      []byte
 }
 
 type stateRepMsg struct {
-	Entries []execEntry `json:"entries,omitempty"`
-	Snap    *stateImage `json:"snap,omitempty"`
-	Replica string      `json:"replica"`
+	Entries []execEntry
+	Snap    *stateImage
+	Replica string
 	// View is the sender's current view: state transfer doubles as view
 	// synchronization. A replica that was down when a new-view message
 	// was broadcast has no other way to learn the cluster moved on — it
 	// would reject every live vote on the view check forever.
-	View uint64 `json:"view,omitempty"`
-}
-
-// envelope wraps every message with an HMAC tag keyed on the (sender,
-// receiver) pair, modelling PBFT's MAC-based authenticators.
-type envelope struct {
-	Body []byte `json:"body"`
-	Mac  []byte `json:"mac"`
+	View uint64
 }
 
 // Applier is called once per executed batch, in sequence order.
@@ -258,7 +234,7 @@ type Replica struct {
 	execSeq    uint64 // next sequence to execute
 	stable     uint64 // last stable checkpoint
 	insts      map[uint64]*instState
-	executedR  map[string]bool // client:seq dedup of executed requests
+	executedR  map[reqID]bool // dedup of executed client requests
 	waiters    map[Digest][]chan struct{}
 	pending    []Request // primary: batch under construction
 	batchTmr   *time.Timer
@@ -271,8 +247,9 @@ type Replica struct {
 	execLog    map[uint64]execEntry            // executed batches, served to restarted peers
 	execFloor  uint64                          // lowest seq execLog covers (recovery trims history)
 	stateVotes map[uint64]map[string]execEntry // state-transfer replies per seq, per sender
-	imgVotes   map[string]*imgVote             // state-image offers per image digest
+	imgVotes   map[Digest]*imgVote             // state-image offers per image digest
 	viewClaims map[string]uint64               // views peers advertised in state replies (view sync)
+	macs       map[string]*peerMAC             // keyed MAC state per peer, derived once
 
 	// Durability (nil log == in-memory mode; see durable.go). applying
 	// counts executions whose Applier call is in flight outside mu —
@@ -307,6 +284,19 @@ type vcTimer struct {
 // NewReplica creates and registers a PBFT replica. ids is the full ordered
 // replica list (len = 3f+1); id must appear in it.
 func NewReplica(net *netsim.Network, id string, ids []string, f int, apply Applier, opts Options) (*Replica, error) {
+	r, err := newReplica(net, id, ids, f, apply, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := net.Register(id, r.handle); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// newReplica validates the membership and builds an unregistered
+// replica with empty protocol state.
+func newReplica(net *netsim.Network, id string, ids []string, f int, apply Applier, opts Options) (*Replica, error) {
 	opts.withDefaults()
 	if len(ids) < 3*f+1 {
 		return nil, fmt.Errorf("pbft: need at least 3f+1=%d replicas, have %d", 3*f+1, len(ids))
@@ -320,7 +310,7 @@ func NewReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 	if index < 0 {
 		return nil, fmt.Errorf("pbft: id %q not in replica list", id)
 	}
-	r := &Replica{
+	return &Replica{
 		id:         id,
 		index:      index,
 		ids:        append([]string(nil), ids...),
@@ -329,18 +319,15 @@ func NewReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 		apply:      apply,
 		opts:       opts,
 		insts:      make(map[uint64]*instState),
-		executedR:  make(map[string]bool),
+		executedR:  make(map[reqID]bool),
 		waiters:    make(map[Digest][]chan struct{}),
 		ckpts:      make(map[uint64]map[string]bool),
 		vcs:        make(map[uint64]map[string]viewChangeMsg),
 		vcTimers:   make(map[Digest]*vcTimer),
 		execLog:    make(map[uint64]execEntry),
 		stateVotes: make(map[uint64]map[string]execEntry),
-	}
-	if err := net.Register(id, r.handle); err != nil {
-		return nil, err
-	}
-	return r, nil
+		macs:       pairMACs(id, ids, opts.AuthKey),
+	}, nil
 }
 
 // ID returns the replica id.
@@ -371,65 +358,18 @@ func (r *Replica) IsPrimary() bool {
 	return r.primaryLocked(r.view) == r.id
 }
 
-// Executed returns how many sequences this replica has executed.
+// Executed returns how many sequences this replica has executed. A
+// sequence counts once its Applier call has returned: execSeq advances
+// before the call, so the ones still in flight are subtracted.
 func (r *Replica) Executed() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.execSeq
+	return r.execSeq - uint64(r.applying)
 }
 
 // quorum sizes.
 func (r *Replica) prepareQuorum() int { return 2 * r.f } // prepares from others + preprepare
 func (r *Replica) commitQuorum() int  { return 2*r.f + 1 }
-
-// --- authentication ---
-
-func (r *Replica) pairKey(a, b string) []byte {
-	if a > b {
-		a, b = b, a
-	}
-	mac := hmac.New(sha256.New, r.opts.AuthKey)
-	mac.Write([]byte(a))
-	mac.Write([]byte{0})
-	mac.Write([]byte(b))
-	return mac.Sum(nil)
-}
-
-func (r *Replica) seal(to string, body []byte) []byte {
-	mac := hmac.New(sha256.New, r.pairKey(r.id, to))
-	mac.Write(body)
-	env := envelope{Body: body, Mac: mac.Sum(nil)}
-	out, _ := json.Marshal(env)
-	return out
-}
-
-func (r *Replica) open(from string, payload []byte) ([]byte, bool) {
-	var env envelope
-	if json.Unmarshal(payload, &env) != nil {
-		return nil, false
-	}
-	mac := hmac.New(sha256.New, r.pairKey(from, r.id))
-	mac.Write(env.Body)
-	if !hmac.Equal(mac.Sum(nil), env.Mac) {
-		return nil, false
-	}
-	return env.Body, true
-}
-
-func (r *Replica) send(to, msgType string, v any) {
-	body, _ := json.Marshal(v)
-	r.net.Send(netsim.Message{From: r.id, To: to, Type: msgType, Payload: r.seal(to, body)})
-}
-
-func (r *Replica) broadcast(msgType string, v any) {
-	body, _ := json.Marshal(v)
-	for _, id := range r.ids {
-		if id == r.id {
-			continue
-		}
-		r.net.Send(netsim.Message{From: r.id, To: id, Type: msgType, Payload: r.seal(id, body)})
-	}
-}
 
 // --- client path ---
 
@@ -462,7 +402,7 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 	done := make(chan struct{})
 
 	r.mu.Lock()
-	if r.executedR[reqKey(req)] {
+	if r.executedR[idOf(req)] {
 		r.mu.Unlock()
 		close(done) // duplicate of an executed request
 		return done
@@ -488,8 +428,6 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 	}
 	return done
 }
-
-func reqKey(req Request) string { return fmt.Sprintf("%s/%d", req.Client, req.Seq) }
 
 // armViewChangeTimerLocked starts a timer that triggers a view change if
 // the request does not execute in time.
@@ -519,7 +457,7 @@ func (r *Replica) armViewChangeTimerLocked(req Request) {
 func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 	r.mu.Lock()
 	delete(r.vcTimers, d)
-	if r.executedR[reqKey(req)] {
+	if r.executedR[idOf(req)] {
 		r.mu.Unlock()
 		return
 	}
@@ -581,9 +519,9 @@ func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
 // instance (or the batch under construction) — i.e. it has been proposed
 // and is waiting on votes, so proposing it again would be futile.
 func (r *Replica) inFlightLocked(req Request) bool {
-	k := reqKey(req)
+	k := idOf(req)
 	for _, p := range r.pending {
-		if reqKey(p) == k {
+		if idOf(p) == k {
 			return true
 		}
 	}
@@ -592,7 +530,7 @@ func (r *Replica) inFlightLocked(req Request) bool {
 			continue
 		}
 		for _, b := range inst.batch {
-			if reqKey(b) == k {
+			if idOf(b) == k {
 				return true
 			}
 		}
@@ -666,72 +604,9 @@ func (r *Replica) instLocked(seq uint64) *instState {
 
 // --- message handling ---
 
-func (r *Replica) handle(m netsim.Message) {
-	body, ok := r.open(m.From, m.Payload)
-	if !ok {
-		return // bad MAC: discard (Byzantine sender or corruption)
-	}
-	switch m.Type {
-	case msgRequest:
-		var req Request
-		if json.Unmarshal(body, &req) != nil {
-			return
-		}
-		r.onRequest(req)
-	case msgPrePrepare:
-		var pp prePrepareMsg
-		if json.Unmarshal(body, &pp) != nil {
-			return
-		}
-		r.onPrePrepare(m.From, pp)
-	case msgPrepare:
-		var p prepareMsg
-		if json.Unmarshal(body, &p) != nil {
-			return
-		}
-		r.onPrepare(p)
-	case msgCommit:
-		var c commitMsg
-		if json.Unmarshal(body, &c) != nil {
-			return
-		}
-		r.onCommit(c)
-	case msgCheckpoint:
-		var c checkpointMsg
-		if json.Unmarshal(body, &c) != nil {
-			return
-		}
-		r.onCheckpoint(c)
-	case msgViewChange:
-		var vc viewChangeMsg
-		if json.Unmarshal(body, &vc) != nil {
-			return
-		}
-		r.onViewChange(vc)
-	case msgNewView:
-		var nv newViewMsg
-		if json.Unmarshal(body, &nv) != nil {
-			return
-		}
-		r.onNewView(m.From, nv)
-	case msgStateReq:
-		var s stateReqMsg
-		if json.Unmarshal(body, &s) != nil {
-			return
-		}
-		r.onStateReq(m.From, s)
-	case msgStateRep:
-		var s stateRepMsg
-		if json.Unmarshal(body, &s) != nil {
-			return
-		}
-		r.onStateRep(m.From, s)
-	}
-}
-
 func (r *Replica) onRequest(req Request) {
 	r.mu.Lock()
-	if r.executedR[reqKey(req)] {
+	if r.executedR[idOf(req)] {
 		r.mu.Unlock()
 		return
 	}
@@ -897,10 +772,10 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Reque
 	var wake []chan struct{}
 	fresh := batch[:0:0]
 	for _, req := range batch {
-		if r.executedR[reqKey(req)] {
+		if r.executedR[idOf(req)] {
 			continue
 		}
-		r.executedR[reqKey(req)] = true
+		r.executedR[idOf(req)] = true
 		fresh = append(fresh, req)
 		d := digestOf([]Request{req})
 		wake = append(wake, r.waiters[d]...)
@@ -941,39 +816,55 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Reque
 		r.mu.Unlock()
 		r.broadcast(msgCheckpoint, ck)
 		r.mu.Lock()
-		r.recordCheckpointLocked(ck)
+		r.recordCheckpointLocked(ck) // own vote: never above execSeq
 	}
 	r.maybeSnapshotLocked(seq)
 }
 
+// onCheckpoint counts a peer's checkpoint vote. A quorum that makes a
+// sequence above this replica's execution point stable proves the
+// cluster executed batches this replica never will on its own: it
+// missed their pre-prepares or commits (a dropped message, an
+// overflowed inbox), arms no watchdog for requests it saw only inside
+// pre-prepares, and the instances are now garbage-collected. State
+// transfer is the only way forward, so it starts here, once per stable
+// advance, instead of waiting for traffic that may never come.
 func (r *Replica) onCheckpoint(c checkpointMsg) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recordCheckpointLocked(c)
+	behind := r.recordCheckpointLocked(c)
+	r.mu.Unlock()
+	if behind {
+		r.Sync()
+	}
 }
 
-func (r *Replica) recordCheckpointLocked(c checkpointMsg) {
+// recordCheckpointLocked counts one checkpoint vote and reports whether
+// it advanced the stable checkpoint beyond this replica's execution
+// point.
+func (r *Replica) recordCheckpointLocked(c checkpointMsg) bool {
 	if c.Seq <= r.stable {
-		return
+		return false
 	}
 	if r.ckpts[c.Seq] == nil {
 		r.ckpts[c.Seq] = map[string]bool{}
 	}
 	r.ckpts[c.Seq][c.Replica] = true
-	if len(r.ckpts[c.Seq]) >= r.commitQuorum() {
-		r.stable = c.Seq
-		// Garbage-collect instances below the stable checkpoint.
-		for seq := range r.insts {
-			if seq < r.stable {
-				delete(r.insts, seq)
-			}
-		}
-		for seq := range r.ckpts {
-			if seq <= r.stable {
-				delete(r.ckpts, seq)
-			}
+	if len(r.ckpts[c.Seq]) < r.commitQuorum() {
+		return false
+	}
+	r.stable = c.Seq
+	// Garbage-collect instances below the stable checkpoint.
+	for seq := range r.insts {
+		if seq < r.stable {
+			delete(r.insts, seq)
 		}
 	}
+	for seq := range r.ckpts {
+		if seq <= r.stable {
+			delete(r.ckpts, seq)
+		}
+	}
+	return r.stable > r.execSeq
 }
 
 // --- view change ---
@@ -1227,7 +1118,7 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 	for d, vt := range r.vcTimers {
 		vt.tmr.Stop()
 		delete(r.vcTimers, d)
-		if !r.executedR[reqKey(vt.req)] {
+		if !r.executedR[idOf(vt.req)] {
 			rearm = append(rearm, vt.req)
 		}
 	}
@@ -1348,12 +1239,7 @@ func (r *Replica) onStateReq(from string, s stateReqMsg) {
 	// its digest will never match a peer's.
 	if r.logApp != nil && r.applying == 0 && r.execSeq > s.Have {
 		if blob, err := r.logApp.Snapshot(); err == nil {
-			img := &stateImage{ExecSeq: r.execSeq, App: blob}
-			for k := range r.executedR {
-				img.Executed = append(img.Executed, k)
-			}
-			sort.Strings(img.Executed)
-			rep.Snap = img
+			rep.Snap = &stateImage{ExecSeq: r.execSeq, Executed: sortedIDs(r.executedR), App: blob}
 		}
 	}
 	r.mu.Unlock()
@@ -1365,11 +1251,15 @@ func (r *Replica) onStateReq(from string, s stateReqMsg) {
 	}
 }
 
-// imageKey is the canonical digest a state image is voted under.
-func imageKey(img *stateImage) string {
-	b, _ := json.Marshal(img)
-	sum := sha256.Sum256(b)
-	return fmt.Sprintf("%d|%x", img.ExecSeq, sum)
+// imageKey is the digest a state image is voted under: the hash of its
+// wire encoding, which the strict codec makes canonical.
+func imageKey(img *stateImage) Digest {
+	w := scratch.Get().(*codec.Writer)
+	w.Reset()
+	img.encode(w)
+	d := Digest(sha256.Sum256(w.Bytes()))
+	scratch.Put(w)
+	return d
 }
 
 func (r *Replica) onStateRep(from string, s stateRepMsg) {
@@ -1458,7 +1348,7 @@ func (r *Replica) recordImageLocked(from string, img *stateImage) {
 	if v == nil {
 		v = &imgVote{img: *img, senders: make(map[string]bool)}
 		if r.imgVotes == nil {
-			r.imgVotes = make(map[string]*imgVote)
+			r.imgVotes = make(map[Digest]*imgVote)
 		}
 		r.imgVotes[key] = v
 	}
@@ -1489,7 +1379,7 @@ func (r *Replica) adoptImageLocked(img *stateImage) {
 	if r.stable < img.ExecSeq {
 		r.stable = img.ExecSeq
 	}
-	r.executedR = make(map[string]bool, len(img.Executed))
+	r.executedR = make(map[reqID]bool, len(img.Executed))
 	for _, k := range img.Executed {
 		r.executedR[k] = true
 	}
@@ -1505,7 +1395,7 @@ func (r *Replica) adoptImageLocked(img *stateImage) {
 		}
 	}
 	for d, vt := range r.vcTimers {
-		if r.executedR[reqKey(vt.req)] {
+		if r.executedR[idOf(vt.req)] {
 			vt.tmr.Stop()
 			delete(r.vcTimers, d)
 		}
@@ -1513,18 +1403,13 @@ func (r *Replica) adoptImageLocked(img *stateImage) {
 	r.imgVotes = nil
 	if r.log != nil && !r.walFailed {
 		snap := pbSnapshot{
-			Format:   pbSnapFormat,
 			View:     r.view,
 			ExecSeq:  img.ExecSeq,
 			Stable:   r.stable,
 			Executed: img.Executed,
 			App:      img.App,
 		}
-		b, err := json.Marshal(snap)
-		if err != nil {
-			panic(fmt.Sprintf("pbft: marshal adopted snapshot: %v", err))
-		}
-		if err := r.log.Snapshot(b); err != nil {
+		if err := r.log.Snapshot(snap.encode()); err != nil {
 			r.walFailed = true
 		} else {
 			r.lastSnap = img.ExecSeq
