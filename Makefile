@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-json vet fmt fmt-check lint chaos fuzz-codec serve-smoke serve-smoke-durable
+.PHONY: build test check race bench bench-json bench-module vet fmt fmt-check lint chaos fuzz-codec serve-smoke serve-smoke-durable
 
 build:
 	$(GO) build ./...
@@ -104,11 +104,19 @@ serve-smoke-durable:
 	echo "serve-smoke-durable: recovered server at $$addr"; \
 	$(GO) run ./cmd/prever-bench remote -addr "$$addr" -limit 100 -conns 2 -duration 2s -check -audit 30s
 
+# bench-module vets and tests the benchmark module (benchmark/, its own
+# go.mod), which imports the chain, mempool, conf and api packages: a
+# change to their signatures breaks its build, and no other target
+# compiles it.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 # check is the CI gate: formatting, static analysis (go vet plus the
 # project analyzers), the full suite under the race detector (the
-# pipeline's concurrency contract is only proven with -race), the
-# server boot smoke test, and the kill -9 recovery smoke test.
-check: fmt-check vet lint race serve-smoke serve-smoke-durable
+# batch lanes' concurrency contract is only proven with -race), the
+# benchmark module's build and tests, the server boot smoke test, and
+# the kill -9 recovery smoke test.
+check: fmt-check vet lint race bench-module serve-smoke serve-smoke-durable
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

@@ -14,6 +14,7 @@ import (
 	"prever"
 	"prever/internal/bench"
 	"prever/internal/chain"
+	"prever/internal/conf"
 	"prever/internal/core"
 	"prever/internal/dp"
 	"prever/internal/ledger"
@@ -180,12 +181,12 @@ func BenchmarkE2_Verify_ZKProof(b *testing.B) {
 	}
 }
 
-// --- E2b: batched submission: sequential loop vs Pipeline -----------------
+// --- E2b: batched submission: sequential loop vs SubmitBatch --------------
 
 // pipelinePlainManager builds a PlainManager with the windowed FLSA
 // constraint and prefills `prefill` rows per worker, so each verification
 // runs the windowed aggregate over a populated table — the scan-heavy,
-// read-only work the pipeline parallelizes across worker lanes.
+// read-only work SubmitBatch parallelizes across worker lanes.
 func pipelinePlainManager(tb testing.TB, workers, prefill int) *prever.PlainManager {
 	tb.Helper()
 	mgr := prever.NewPlainManager("pipe")
@@ -260,17 +261,14 @@ func BenchmarkPipeline_PlainSequential(b *testing.B) {
 	reportP95(b, mgr)
 }
 
+// BenchmarkPipeline_PlainWidth4 submits the same workload as one
+// SubmitBatch call, which verifies the 8 workers' lanes in parallel on
+// GOMAXPROCS goroutines (4 or more where the speedup gate below runs).
 func BenchmarkPipeline_PlainWidth4(b *testing.B) {
 	mgr := pipelinePlainManager(b, 8, 128)
 	us := pipelineWorkload(8, (b.N+7)/8, "pipe")
-	p := prever.NewPipeline(mgr, prever.PipelineConfig{Width: 4})
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Submit(us[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
+	if _, err := mgr.SubmitBatch(us[:b.N]); err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()
@@ -278,9 +276,9 @@ func BenchmarkPipeline_PlainWidth4(b *testing.B) {
 }
 
 // TestPipelineSpeedupOnPlain is the concurrency acceptance gate: on a
-// machine with >= 4 cores, a width-4 pipeline must beat the sequential
-// Submit loop by >= 2x on the scan-heavy plain workload. Skipped on
-// smaller runners, where there is no parallelism to claim.
+// machine with >= 4 cores, SubmitBatch must beat the sequential Submit
+// loop by >= 2x on the scan-heavy plain workload. Skipped on smaller
+// runners, where there is no parallelism to claim.
 func TestPipelineSpeedupOnPlain(t *testing.T) {
 	if runtime.NumCPU() < 4 {
 		t.Skipf("need >= 4 CPUs for the 2x speedup gate, have %d", runtime.NumCPU())
@@ -307,19 +305,14 @@ func TestPipelineSpeedupOnPlain(t *testing.T) {
 		return nil
 	}, "seq")
 	pipeMgr := pipelinePlainManager(t, workers, prefill)
-	p := prever.NewPipeline(pipeMgr, prever.PipelineConfig{Width: 4})
 	pipe := measure(func(us []prever.Update) error {
-		for _, u := range us {
-			if _, err := p.Submit(u); err != nil {
-				return err
-			}
-		}
-		return p.Close()
+		_, err := pipeMgr.SubmitBatch(us)
+		return err
 	}, "pipe")
 	speedup := float64(seq) / float64(pipe)
-	t.Logf("sequential %v, pipeline(4) %v, speedup %.2fx", seq, pipe, speedup)
+	t.Logf("sequential %v, SubmitBatch %v, speedup %.2fx", seq, pipe, speedup)
 	if speedup < 2.0 {
-		t.Fatalf("pipeline speedup %.2fx < 2x (sequential %v, pipeline %v)", speedup, seq, pipe)
+		t.Fatalf("SubmitBatch speedup %.2fx < 2x (sequential %v, SubmitBatch %v)", speedup, seq, pipe)
 	}
 }
 
@@ -363,10 +356,11 @@ func BenchmarkE3_Federated_Tokens(b *testing.B) {
 }
 
 func BenchmarkE3_Federated_MPC(b *testing.B) {
-	fed, err := prever.NewMPCFederation("e3", 1<<40, 0, []string{"uber", "lyft", "doordash"}, 512)
+	setup, err := prever.NewMPCFederationSetup("e3", 1<<40, 0, []string{"uber", "lyft", "doordash"}, 512)
 	if err != nil {
 		b.Fatal(err)
 	}
+	fed := setup.Federation
 	base := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -708,11 +702,11 @@ func BenchmarkE10_RecoverReplay(b *testing.B) {
 	}
 	dir := b.TempDir()
 	cfg := chain.ShardConfig{
-		Name:          "bench-e10",
-		F:             1,
-		Timeout:       20 * time.Second,
-		DataDir:       dir,
-		SnapshotEvery: 32,
+		Name:    "bench-e10",
+		F:       1,
+		Timeout: 20 * time.Second,
+		DataDir: dir,
+		Conf:    conf.Config{SnapshotEvery: 32},
 	}
 	net := netsim.New(netsim.Config{})
 	s, err := chain.NewShard(net, cfg)

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	prever-bench [-scale quick|full] [-only E4] [-json]
-//	             [-batch N] [-flush D] [-inflight K] [-mempool-cap N] [-lanes N]
 //	prever-bench local  [-limit R] [-conns N] [-duration D] [-value B]
 //	                    [-keys K] [-shards S] [-f F] [-json] [-check]
 //	prever-bench remote -addr http://HOST:PORT [-limit R] [-conns N]
@@ -17,11 +16,6 @@
 // schedules R requests/second regardless of how fast the server
 // answers (0 = closed loop, as fast as possible), so queueing delay
 // under saturation shows up in the reported p50/p95/p99.
-//
-// The batching flags of the default mode map straight onto the
-// internal/conf runtime knobs, so a bench sweep can retune batch size,
-// flush interval, pipelining depth, pool cap and lane count without
-// rebuilding.
 package main
 
 import (
@@ -34,7 +28,6 @@ import (
 
 	"prever/internal/api"
 	"prever/internal/bench"
-	"prever/internal/conf"
 )
 
 func main() {
@@ -156,25 +149,11 @@ func waitAudit(base string, timeout time.Duration) error {
 }
 
 func runExperiments(args []string) {
-	defaults := conf.Defaults()
 	fs := flag.NewFlagSet("prever-bench", flag.ExitOnError)
 	scaleFlag := fs.String("scale", "quick", "experiment scale: quick or full")
 	onlyFlag := fs.String("only", "", "run a single experiment (E1, E1b, E2..E11)")
 	jsonFlag := fs.Bool("json", false, "emit machine-readable JSON tables instead of text")
-	batchFlag := fs.Int("batch", defaults.BatchSize, "mempool batch size (ops per consensus instance)")
-	flushFlag := fs.Duration("flush", defaults.FlushInterval, "partial-batch flush interval")
-	inflightFlag := fs.Int("inflight", defaults.MaxInFlight, "pipelined consensus instances")
-	capFlag := fs.Int("mempool-cap", defaults.MempoolCap, "mempool admission-control cap")
-	lanesFlag := fs.Int("lanes", defaults.Lanes, "key-hashed mempool lanes")
 	_ = fs.Parse(args)
-
-	conf.Update(func(c *conf.Config) {
-		c.BatchSize = *batchFlag
-		c.FlushInterval = *flushFlag
-		c.MaxInFlight = *inflightFlag
-		c.MempoolCap = *capFlag
-		c.Lanes = *lanesFlag
-	})
 
 	var scale bench.Scale
 	switch strings.ToLower(*scaleFlag) {

@@ -23,7 +23,8 @@
 //
 // With -addr ending in :0 the kernel picks the port and that line is
 // how callers (the multi-process harness, serve-smoke) discover it.
-// Batching knobs are also adjustable at runtime via POST /conf.
+// Batching knobs and -max-tx-bytes are also adjustable at runtime via
+// POST /conf.
 // SIGINT/SIGTERM shut down gracefully: in-flight requests finish, the
 // mempool fails queued transactions with chain.ErrShardClosed.
 package main
@@ -53,6 +54,29 @@ func main() {
 	}
 }
 
+// newChain builds n shards named shard0..shardN-1 from base, then
+// installs base.Conf through UpdateConf, the path POST /conf takes: a
+// value there is used as given, so -flush 0 proposes immediately, where
+// NewShard alone would read the zero as unset and take the default.
+func newChain(simnet *netsim.Network, n int, base chain.ShardConfig) (*chain.Sharded, error) {
+	shards := make([]*chain.Shard, n)
+	for i := range shards {
+		cfg := base
+		cfg.Name = fmt.Sprintf("shard%d", i)
+		s, err := chain.NewShard(simnet, cfg)
+		if err != nil {
+			return nil, err
+		}
+		shards[i] = s
+	}
+	sharded, err := chain.NewSharded(shards...)
+	if err != nil {
+		return nil, err
+	}
+	_, err = sharded.UpdateConf(func(c *conf.Config) error { *c = base.Conf; return nil })
+	return sharded, err
+}
+
 func run() error {
 	defaults := conf.Defaults()
 	addrFlag := flag.String("addr", "127.0.0.1:9473", "listen address (use :0 for an ephemeral port)")
@@ -69,35 +93,26 @@ func run() error {
 	snapEveryFlag := flag.Uint64("snap-every", defaults.SnapshotEvery, "executed sequences between durable snapshots (with -data)")
 	flag.Parse()
 
-	conf.Update(func(c *conf.Config) {
-		c.BatchSize = *batchFlag
-		c.FlushInterval = *flushFlag
-		c.MaxInFlight = *inflightFlag
-		c.MempoolCap = *capFlag
-		c.Lanes = *lanesFlag
-		c.MaxTxBytes = *maxTxFlag
-		c.SnapshotEvery = *snapEveryFlag
-	})
-
 	if *shardsFlag < 1 {
 		return fmt.Errorf("-shards must be >= 1 (got %d)", *shardsFlag)
 	}
 	simnet := netsim.New(netsim.Config{})
 	defer simnet.Close()
-	shards := make([]*chain.Shard, *shardsFlag)
-	for i := range shards {
-		s, err := chain.NewShard(simnet, chain.ShardConfig{
-			Name:    fmt.Sprintf("shard%d", i),
-			F:       *fFlag,
-			Timeout: *timeoutFlag,
-			DataDir: *dataFlag,
-		})
-		if err != nil {
-			return err
-		}
-		shards[i] = s
-	}
-	sharded, err := chain.NewSharded(shards...)
+	cfg := defaults
+	cfg.BatchSize = *batchFlag
+	cfg.FlushInterval = *flushFlag
+	cfg.MaxInFlight = *inflightFlag
+	cfg.MempoolCap = *capFlag
+	cfg.Lanes = *lanesFlag
+	cfg.MaxTxBytes = *maxTxFlag
+	cfg.SnapshotEvery = *snapEveryFlag
+	cfg.Sanitize()
+	sharded, err := newChain(simnet, *shardsFlag, chain.ShardConfig{
+		F:       *fFlag,
+		Timeout: *timeoutFlag,
+		DataDir: *dataFlag,
+		Conf:    cfg,
+	})
 	if err != nil {
 		return err
 	}

@@ -221,10 +221,10 @@ func TestDuplicateAckOverWire(t *testing.T) {
 }
 
 func TestTxTooLargeOverWire(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
-	conf.SetMaxTxBytes(512)
-	client, _ := newTestServer(t, nil)
+	client, sharded := newTestServer(t, nil)
+	if _, err := sharded.UpdateConf(func(c *conf.Config) error { c.MaxTxBytes = 512; return nil }); err != nil {
+		t.Fatal(err)
+	}
 	_, err := client.Submit(Tx{Kind: KindPut, Key: "big", Value: bytes.Repeat([]byte("x"), 2048)})
 	if !errors.Is(err, chain.ErrTxTooLarge) {
 		t.Fatalf("err = %v, want chain.ErrTxTooLarge", err)
@@ -282,8 +282,6 @@ func waitConverged(t *testing.T, client *Client) AuditResponse {
 // contract: POST /conf changes batching knobs on a server that is
 // already running, effective for the next batch, no restart.
 func TestConfPropagatesToRunningServer(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
 	client, _ := newTestServer(t, nil)
 
 	// Phase 1: force singleton batches.
@@ -333,8 +331,6 @@ func TestConfPropagatesToRunningServer(t *testing.T) {
 }
 
 func TestConfRejectsBadDuration(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
 	client, _ := newTestServer(t, nil)
 	before, err := client.Conf()
 	if err != nil {
@@ -346,6 +342,76 @@ func TestConfRejectsBadDuration(t *testing.T) {
 		t.Fatalf("err = %v, want WireError code %s", err, CodeInvalid)
 	}
 	// The whole update was rejected — batchSize did not change either.
+	after, err := client.Conf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Fatalf("rejected update mutated conf: %+v -> %+v", before, after)
+	}
+}
+
+// TestConfIsPerServer: two servers in one process own separate
+// configurations — reconfiguring one leaves the other's view and its
+// batching untouched.
+func TestConfIsPerServer(t *testing.T) {
+	a, _ := newTestServer(t, nil)
+	b, _ := newTestServer(t, nil)
+	// A long linger makes b's coalescing deterministic.
+	if _, err := b.SetConf(ConfUpdate{FlushInterval: strp("100ms")}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := b.Conf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.SetConf(ConfUpdate{BatchSize: intp(1)}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := b.Conf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Fatalf("updating one server changed another's conf: %+v -> %+v", before, after)
+	}
+	txs := make([]Tx, 6)
+	for i := range txs {
+		txs[i] = Tx{Kind: KindPut, Key: fmt.Sprintf("iso-%d", i), Value: []byte("v")}
+	}
+	if _, err := b.SubmitBatch(txs); err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Total.Batches.MaxSize < 2 {
+		t.Fatalf("untouched server proposed batches of at most %d, want >= 2", st.Total.Batches.MaxSize)
+	}
+}
+
+// TestConfRejectsStructuralKnobs: lanes and dedupTTL are fixed when the
+// pools are built, so POST /conf refuses them rather than echoing a
+// value the server never runs with.
+func TestConfRejectsStructuralKnobs(t *testing.T) {
+	client, _ := newTestServer(t, nil)
+	before, err := client.Conf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{`{"lanes":99}`, `{"dedupTTL":"1h"}`} {
+		resp, err := http.Post(clientBase(client)+"/conf", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var we WireError
+		derr := json.NewDecoder(resp.Body).Decode(&we)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || we.Code != CodeInvalid {
+			t.Fatalf("POST /conf %s: HTTP %d code %q (%v), want 400 %s", body, resp.StatusCode, we.Code, derr, CodeInvalid)
+		}
+	}
 	after, err := client.Conf()
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"prever/internal/chain"
-	"prever/internal/conf"
 )
 
 // Server serves the wire API over a Sharded chain. It holds no state of
@@ -58,7 +57,7 @@ func writeSubmitErr(w http.ResponseWriter, err error) {
 
 // decode reads a strict JSON body: unknown fields, trailing garbage and
 // oversized bodies are validation errors. The size limit is generous —
-// per-transaction bounds are enforced semantically (conf.MaxTxBytes →
+// per-transaction bounds are enforced semantically (MaxTxBytes →
 // 413, counted on the transaction's canonical binary encoding, so a
 // value's base64 inflation in the JSON body does not count against
 // it), this one only stops a runaway request body.
@@ -77,13 +76,13 @@ func decode(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
 
 // singleBodyLimit bounds one-transaction request bodies: the encoded
 // value (base64 inflates by 4/3) plus headroom for the envelope.
-func singleBodyLimit() int64 {
-	return int64(conf.MaxTxBytes())*2 + 64<<10
+func (s *Server) singleBodyLimit() int64 {
+	return int64(s.chain.Shards()[0].MaxTxBytes())*2 + 64<<10
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := decode(w, r, &req, singleBodyLimit()); err != nil {
+	if err := decode(w, r, &req, s.singleBodyLimit()); err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return
 	}
@@ -102,7 +101,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decode(w, r, &req, int64(MaxBatchTxs)*singleBodyLimit()); err != nil {
+	if err := decode(w, r, &req, int64(MaxBatchTxs)*s.singleBodyLimit()); err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return
 	}
@@ -140,7 +139,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitPrivate(w http.ResponseWriter, r *http.Request) {
 	var req PrivateSubmitRequest
-	if err := decode(w, r, &req, singleBodyLimit()); err != nil {
+	if err := decode(w, r, &req, s.singleBodyLimit()); err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return
 	}
@@ -230,7 +229,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleConfGet(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, ViewOf(conf.Snapshot()))
+	writeJSON(w, http.StatusOK, ViewOf(s.chain.Conf()))
 }
 
 func (s *Server) handleConfPost(w http.ResponseWriter, r *http.Request) {
@@ -239,7 +238,7 @@ func (s *Server) handleConfPost(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, CodeInvalid, err.Error())
 		return
 	}
-	c, err := u.Apply()
+	c, err := s.chain.UpdateConf(u.Apply)
 	if err != nil {
 		writeErr(w, CodeInvalid, err.Error())
 		return

@@ -32,9 +32,9 @@ import (
 )
 
 // MaxKeyBytes bounds key and collection names on the wire. Values are
-// bounded end-to-end by conf.MaxTxBytes (HTTP 413), keys by this much
-// tighter lexical limit (HTTP 400): a key is an index entry replicated
-// into every peer's world state, not a payload.
+// bounded end-to-end by the server's MaxTxBytes (HTTP 413), keys by this
+// much tighter lexical limit (HTTP 400): a key is an index entry
+// replicated into every peer's world state, not a payload.
 const MaxKeyBytes = 1024
 
 // Wire transaction kinds. Cross-shard phases (prepare/commit/abort) are
@@ -230,9 +230,10 @@ type AuditResponse struct {
 	Converged bool         `json:"converged"`
 }
 
-// ConfView is the wire form of the runtime configuration (GET /conf and
-// the response of POST /conf). Durations are Go duration strings
-// ("500µs", "1m") so the document stays human-editable.
+// ConfView is the wire form of a server's configuration (GET /conf and
+// the response of POST /conf): the values its shards run with.
+// Durations are Go duration strings ("500µs", "1m") so the document
+// stays human-editable.
 type ConfView struct {
 	BatchSize     int    `json:"batchSize"`
 	FlushInterval string `json:"flushInterval"`
@@ -243,7 +244,7 @@ type ConfView struct {
 	MaxTxBytes    int    `json:"maxTxBytes"`
 }
 
-// ViewOf renders a config snapshot for the wire.
+// ViewOf renders a configuration for the wire.
 func ViewOf(c conf.Config) ConfView {
 	return ConfView{
 		BatchSize:     c.BatchSize,
@@ -258,58 +259,39 @@ func ViewOf(c conf.Config) ConfView {
 
 // ConfUpdate is the body of POST /conf: a partial update where only the
 // fields present in the JSON are applied (pointer fields distinguish
-// "absent" from "zero"). Structural knobs (Lanes, DedupTTL) take effect
-// for shards created afterwards; batching knobs (batchSize,
-// flushInterval, maxInFlight, mempoolCap, maxTxBytes) take effect on
-// running shards without restart.
+// "absent" from "zero"). Every field takes effect on the running shards
+// without restart. The structural knobs (lanes, dedupTTL) are fixed when
+// a server starts, so they are not fields: the strict decoder rejects
+// them as unknown.
 type ConfUpdate struct {
 	BatchSize     *int    `json:"batchSize,omitempty"`
 	FlushInterval *string `json:"flushInterval,omitempty"`
 	MaxInFlight   *int    `json:"maxInFlight,omitempty"`
 	MempoolCap    *int    `json:"mempoolCap,omitempty"`
-	Lanes         *int    `json:"lanes,omitempty"`
-	DedupTTL      *string `json:"dedupTTL,omitempty"`
 	MaxTxBytes    *int    `json:"maxTxBytes,omitempty"`
 }
 
-// Apply merges the update into the global runtime configuration and
-// returns the resulting snapshot. Duration strings that fail to parse
-// reject the whole update.
-func (u ConfUpdate) Apply() (conf.Config, error) {
-	var flush, ttl time.Duration
-	var err error
+// Apply merges the update into c. A duration string that fails to parse
+// rejects the whole update and leaves c unchanged.
+func (u ConfUpdate) Apply(c *conf.Config) error {
 	if u.FlushInterval != nil {
-		if flush, err = time.ParseDuration(*u.FlushInterval); err != nil {
-			return conf.Config{}, fmt.Errorf("flushInterval: %w", err)
+		flush, err := time.ParseDuration(*u.FlushInterval)
+		if err != nil {
+			return fmt.Errorf("flushInterval: %w", err)
 		}
+		c.FlushInterval = flush
 	}
-	if u.DedupTTL != nil {
-		if ttl, err = time.ParseDuration(*u.DedupTTL); err != nil {
-			return conf.Config{}, fmt.Errorf("dedupTTL: %w", err)
-		}
+	if u.BatchSize != nil {
+		c.BatchSize = *u.BatchSize
 	}
-	conf.Update(func(c *conf.Config) {
-		if u.BatchSize != nil {
-			c.BatchSize = *u.BatchSize
-		}
-		if u.FlushInterval != nil {
-			c.FlushInterval = flush
-		}
-		if u.MaxInFlight != nil {
-			c.MaxInFlight = *u.MaxInFlight
-		}
-		if u.MempoolCap != nil {
-			c.MempoolCap = *u.MempoolCap
-		}
-		if u.Lanes != nil {
-			c.Lanes = *u.Lanes
-		}
-		if u.DedupTTL != nil {
-			c.DedupTTL = ttl
-		}
-		if u.MaxTxBytes != nil {
-			c.MaxTxBytes = *u.MaxTxBytes
-		}
-	})
-	return conf.Snapshot(), nil
+	if u.MaxInFlight != nil {
+		c.MaxInFlight = *u.MaxInFlight
+	}
+	if u.MempoolCap != nil {
+		c.MempoolCap = *u.MempoolCap
+	}
+	if u.MaxTxBytes != nil {
+		c.MaxTxBytes = *u.MaxTxBytes
+	}
+	return nil
 }

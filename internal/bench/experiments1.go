@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"prever/internal/conf"
 	"prever/internal/constraint"
 	"prever/internal/core"
 	"prever/internal/he"
@@ -849,8 +850,8 @@ func E4Consensus(scale Scale) (*Table, error) {
 		net := netsim.New(lanCfg)
 		s, err := chainpkg.NewShard(net, chainpkg.ShardConfig{
 			Name: "bsh", F: 1, Timeout: 10 * time.Second,
-			Mempool: mempool.Config{
-				Cap:           8 * ops,
+			Conf: conf.Config{
+				MempoolCap:    8 * ops,
 				BatchSize:     64,
 				FlushInterval: 200 * time.Microsecond,
 				MaxInFlight:   4,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"prever/internal/chain"
+	"prever/internal/conf"
 	"prever/internal/netsim"
 )
 
@@ -54,11 +55,11 @@ func recoverOnce(ops int, snapEvery uint64) ([]string, error) {
 	defer os.RemoveAll(dir)
 
 	cfg := chain.ShardConfig{
-		Name:          "e10",
-		F:             1,
-		Timeout:       20 * time.Second,
-		DataDir:       dir,
-		SnapshotEvery: snapEvery,
+		Name:    "e10",
+		F:       1,
+		Timeout: 20 * time.Second,
+		DataDir: dir,
+		Conf:    conf.Config{SnapshotEvery: snapEvery},
 	}
 	net := netsim.New(netsim.Config{})
 	s, err := chain.NewShard(net, cfg)

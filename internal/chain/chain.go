@@ -314,6 +314,11 @@ type Shard struct {
 	batcher  *mempool.Batcher
 	seq      atomic.Uint64
 	timeout  time.Duration
+	// conf is the shard's live configuration: resolved at NewShard, then
+	// replaced by retune under the owning Sharded's confMu. maxTxBytes
+	// mirrors conf.MaxTxBytes for the lock-free submit path.
+	conf       conf.Config
+	maxTxBytes atomic.Int64
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -325,16 +330,17 @@ type ShardConfig struct {
 	F           int                 // tolerated Byzantine peers (n = 3f+1)
 	Collections map[string][]string // collection -> member peer ids
 	PBFT        pbft.Options
-	Timeout     time.Duration  // per-transaction commit timeout
-	Mempool     mempool.Config // zero fields default from conf.Snapshot
+	Timeout     time.Duration // per-transaction commit timeout
 	// DataDir, when set, makes every peer's PBFT replica crash-durable:
 	// consensus state is journaled to a WAL under DataDir/<peerID> and
 	// the peer's chain is snapshot-restored on reopen. Empty means
 	// in-memory (state dies with the process).
 	DataDir string
-	// SnapshotEvery is the executed-sequence cadence between durable
-	// snapshots. Zero defaults from conf.Snapshot().SnapshotEvery.
-	SnapshotEvery uint64
+	// Conf sizes the shard's mempool, its transaction bound and (with
+	// DataDir) its snapshot cadence and WAL segments. It is resolved by
+	// conf.Config.WithDefaults: zero or negative fields take
+	// conf.Defaults(). Sharded.UpdateConf retunes the live knobs later.
+	Conf conf.Config
 }
 
 // NewShard builds a shard of 3F+1 peers on the network.
@@ -361,7 +367,8 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		}
 		return out
 	}
-	s := &Shard{Name: cfg.Name, nonce: bootNonce(), durable: cfg.DataDir != "", timeout: cfg.Timeout}
+	s := &Shard{Name: cfg.Name, nonce: bootNonce(), durable: cfg.DataDir != "", timeout: cfg.Timeout, conf: cfg.Conf.WithDefaults()}
+	s.maxTxBytes.Store(int64(s.conf.MaxTxBytes))
 	for _, id := range ids {
 		peer := newPeer(id, memberOf(id))
 		s.peers = append(s.peers, peer)
@@ -396,16 +403,12 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		var replica *pbft.Replica
 		var err error
 		if cfg.DataDir != "" {
-			snapEvery := cfg.SnapshotEvery
-			if snapEvery == 0 {
-				snapEvery = conf.SnapshotEvery()
-			}
 			// Peer IDs like "shard0/peer3" nest naturally as directories.
 			replica, err = pbft.NewDurableReplica(net, id, ids, cfg.F, applier, cfg.PBFT, pbft.DurableOptions{
 				Dir:           filepath.Join(cfg.DataDir, id),
 				App:           peer,
-				SnapshotEvery: snapEvery,
-				SegmentBytes:  conf.WALSegmentBytes(),
+				SnapshotEvery: s.conf.SnapshotEvery,
+				SegmentBytes:  s.conf.WALSegmentBytes,
 			})
 		} else {
 			replica, err = pbft.NewReplica(net, id, ids, cfg.F, applier, cfg.PBFT)
@@ -436,7 +439,7 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 		return nil, err
 	}
 	s.client = client
-	s.pool = mempool.NewPool(cfg.Mempool)
+	s.pool = mempool.NewPool(mempool.FromConf(s.conf))
 	s.batcher = mempool.NewBatcher(s.pool, func(ops [][]byte) func() error {
 		// Start assigns the client sequence number and hands the batch to
 		// the primary before returning, fixing the commit order of
@@ -474,6 +477,19 @@ func (s *Shard) Close() error {
 	return err
 }
 
+// retune applies a configuration's live knobs to the running shard; its
+// structural knobs keep the values the shard was built with.
+func (s *Shard) retune(c conf.Config) {
+	c.Lanes, c.DedupTTL = s.conf.Lanes, s.conf.DedupTTL
+	c.SnapshotEvery, c.WALSegmentBytes = s.conf.SnapshotEvery, s.conf.WALSegmentBytes
+	s.conf = c
+	s.pool.Retune(mempool.FromConf(c))
+	s.maxTxBytes.Store(int64(c.MaxTxBytes))
+}
+
+// MaxTxBytes is the shard's live per-transaction size bound.
+func (s *Shard) MaxTxBytes() int { return int(s.maxTxBytes.Load()) }
+
 // Peers returns the shard's peers.
 func (s *Shard) Peers() []*Peer { return s.peers }
 
@@ -509,6 +525,8 @@ type Sharded struct {
 	shards []*Shard
 	nonce  string // boot nonce: keeps cross-shard XIDs from colliding with recovered prepares
 	xseq   atomic.Uint64
+
+	confMu sync.Mutex // serializes UpdateConf; guards every shard's conf
 }
 
 // NewSharded groups shards into one logical chain.
@@ -517,6 +535,34 @@ func NewSharded(shards ...*Shard) (*Sharded, error) {
 		return nil, errors.New("chain: need at least one shard")
 	}
 	return &Sharded{shards: shards, nonce: bootNonce()}, nil
+}
+
+// Conf returns the live configuration (the first shard's).
+func (c *Sharded) Conf() conf.Config {
+	c.confMu.Lock()
+	defer c.confMu.Unlock()
+	return c.shards[0].conf
+}
+
+// UpdateConf applies f to a copy of the live configuration and, unless f
+// fails, installs the sanitized result on every shard: the batching
+// knobs and MaxTxBytes take effect without a restart, and a zero
+// FlushInterval proposes immediately. The structural knobs (Lanes,
+// DedupTTL, SnapshotEvery, WALSegmentBytes) keep the values the shards
+// were built with. Concurrent updates are serialized, so none loses
+// another's fields. It returns the live configuration.
+func (c *Sharded) UpdateConf(f func(*conf.Config) error) (conf.Config, error) {
+	c.confMu.Lock()
+	defer c.confMu.Unlock()
+	next := c.shards[0].conf
+	if err := f(&next); err != nil {
+		return c.shards[0].conf, err
+	}
+	next.Sanitize()
+	for _, s := range c.shards {
+		s.retune(next)
+	}
+	return c.shards[0].conf, nil
 }
 
 // Shards returns the shard list.

@@ -5,17 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"prever/internal/conf"
 	"prever/internal/netsim"
 )
 
 func durableShardCfg(dir string) ShardConfig {
 	return ShardConfig{
-		Name:          "s0",
-		F:             1,
-		Collections:   map[string][]string{"collA": {"s0/peer0", "s0/peer1", "s0/peer2"}},
-		Timeout:       5 * time.Second,
-		DataDir:       dir,
-		SnapshotEvery: 8,
+		Name:        "s0",
+		F:           1,
+		Collections: map[string][]string{"collA": {"s0/peer0", "s0/peer1", "s0/peer2"}},
+		Timeout:     5 * time.Second,
+		DataDir:     dir,
+		Conf:        conf.Config{SnapshotEvery: 8},
 	}
 }
 

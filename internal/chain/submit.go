@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"prever/internal/conf"
 	"prever/internal/mempool"
 )
 
@@ -119,7 +118,7 @@ func (s *Shard) SubmitAsync(tx Tx) <-chan Result {
 	s.stats.Submitted++
 	s.statsMu.Unlock()
 	data := txBytes(tx)
-	if max := conf.MaxTxBytes(); len(data) > max {
+	if max := s.MaxTxBytes(); len(data) > max {
 		err := fmt.Errorf("%w: %d bytes (limit %d)", ErrTxTooLarge, len(data), max)
 		s.recordOutcome(start, err)
 		ch <- Result{TxID: id, Err: err}

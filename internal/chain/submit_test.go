@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"prever/internal/conf"
 	"prever/internal/mempool"
 	"prever/internal/netsim"
 )
@@ -28,7 +29,7 @@ func TestSubmitBatchCommitsAllAndBatches(t *testing.T) {
 		Name:    "b0",
 		F:       1,
 		Timeout: 5 * time.Second,
-		Mempool: mempool.Config{BatchSize: 16, FlushInterval: time.Millisecond},
+		Conf:    conf.Config{BatchSize: 16, FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestSubmitAsyncSameKeyKeepsOrder(t *testing.T) {
 		Name:    "ord",
 		F:       1,
 		Timeout: 5 * time.Second,
-		Mempool: mempool.Config{BatchSize: 8, FlushInterval: time.Millisecond, MaxInFlight: 4},
+		Conf:    conf.Config{BatchSize: 8, FlushInterval: time.Millisecond, MaxInFlight: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestMempoolAdmissionControlRejects(t *testing.T) {
 		F:       1,
 		Timeout: 5 * time.Second,
 		// A tiny pool with a long flush interval: adds pile up un-drained.
-		Mempool: mempool.Config{Cap: 4, BatchSize: 64, FlushInterval: time.Minute, MaxInFlight: 1},
+		Conf: conf.Config{MempoolCap: 4, BatchSize: 64, FlushInterval: time.Minute, MaxInFlight: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func TestRetriedTxNotReproposed(t *testing.T) {
 		Name:    "dup",
 		F:       1,
 		Timeout: 5 * time.Second,
-		Mempool: mempool.Config{BatchSize: 8, FlushInterval: time.Millisecond, MaxInFlight: 4},
+		Conf:    conf.Config{BatchSize: 8, FlushInterval: time.Millisecond, MaxInFlight: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +269,7 @@ func TestShardedStatsAggregates(t *testing.T) {
 			Name:    fmt.Sprintf("agg%d", i),
 			F:       1,
 			Timeout: 5 * time.Second,
-			Mempool: mempool.Config{BatchSize: 8, FlushInterval: time.Millisecond},
+			Conf:    conf.Config{BatchSize: 8, FlushInterval: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -304,5 +305,96 @@ func TestShardedStatsAggregates(t *testing.T) {
 		if s.Stats().Submitted == 0 {
 			t.Fatalf("shard %s saw no traffic", s.Name)
 		}
+	}
+}
+
+// TestConcurrentConfUpdatesLoseNothing: concurrent single-field updates
+// to one Sharded are serialized, so neither loses the other's field;
+// every shard's pool runs the result, and the structural knobs keep the
+// values the shards were built with.
+func TestConcurrentConfUpdatesLoseNothing(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	var shards []*Shard
+	for i := 0; i < 2; i++ {
+		s, err := NewShard(net, ShardConfig{Name: fmt.Sprintf("u%d", i), F: 1, Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, s)
+	}
+	c, err := NewSharded(shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	set := func(f func(*conf.Config)) {
+		for i := 0; i < 200; i++ {
+			if _, err := c.UpdateConf(func(cc *conf.Config) error { f(cc); return nil }); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		set(func(cc *conf.Config) { cc.BatchSize = 100 })
+	}()
+	set(func(cc *conf.Config) { cc.MempoolCap, cc.Lanes = 16, 99 })
+	<-done
+	got := c.Conf()
+	if got.BatchSize != 100 || got.MempoolCap != 16 {
+		t.Fatalf("concurrent single-field updates interfered: %+v", got)
+	}
+	if got.Lanes != conf.Defaults().Lanes {
+		t.Fatalf("structural Lanes changed on a running chain: %+v", got)
+	}
+	for _, s := range shards {
+		if pc := s.pool.Config(); pc.BatchSize != 100 || pc.Cap != 16 || pc.Lanes != conf.Defaults().Lanes {
+			t.Fatalf("shard %s pool runs %+v", s.Name, pc)
+		}
+	}
+}
+
+// TestConfMatchesWhatPoolsRun: Conf reports exactly what every shard's
+// pool runs, both as built from a partial ShardConfig.Conf (zero fields
+// take the defaults) and after an update that sets a zero FlushInterval,
+// which proposes immediately.
+func TestConfMatchesWhatPoolsRun(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	var shards []*Shard
+	for i := 0; i < 2; i++ {
+		// Zero and negative fields alike read as unset.
+		s, err := NewShard(net, ShardConfig{Name: fmt.Sprintf("m%d", i), F: 1, Timeout: 5 * time.Second,
+			Conf: conf.Config{BatchSize: 16, FlushInterval: -time.Duration(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, s)
+	}
+	c, err := NewSharded(shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	check := func(stage string) conf.Config {
+		got := c.Conf()
+		for _, s := range shards {
+			if pc := s.pool.Config(); pc != mempool.FromConf(got) || s.MaxTxBytes() != got.MaxTxBytes {
+				t.Fatalf("%s: Conf reports %+v, shard %s pool runs %+v", stage, got, s.Name, pc)
+			}
+		}
+		return got
+	}
+	if got := check("built"); got.BatchSize != 16 || got.FlushInterval != conf.Defaults().FlushInterval {
+		t.Fatalf("built with %+v, want BatchSize 16 and the default flush", got)
+	}
+	if _, err := c.UpdateConf(func(cc *conf.Config) error { cc.FlushInterval = 0; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := check("updated"); got.FlushInterval != 0 {
+		t.Fatalf("updated flush = %v, want 0 (propose immediately)", got.FlushInterval)
 	}
 }

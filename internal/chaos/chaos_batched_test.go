@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"prever/internal/chain"
+	"prever/internal/conf"
 	"prever/internal/mempool"
 	"prever/internal/netsim"
 	"prever/internal/paxos"
@@ -246,8 +247,8 @@ func TestChaosShardBatched(t *testing.T) {
 		F:       1,
 		Timeout: 25 * time.Second,
 		PBFT:    pbft.Options{ViewTimeout: 250 * time.Millisecond},
-		Mempool: mempool.Config{
-			Cap:           1024,
+		Conf: conf.Config{
+			MempoolCap:    1024,
 			BatchSize:     8,
 			FlushInterval: 2 * time.Millisecond,
 			MaxInFlight:   4,

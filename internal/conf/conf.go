@@ -1,29 +1,23 @@
-// Package conf centralizes the runtime-tunable consensus/batching knobs
-// (wavelet's conf/conf.go pattern): one immutable snapshot struct behind
-// an atomic pointer. Getters read the current snapshot — every field a
-// caller reads through one Snapshot() call is from the same generation —
-// and setters install a fresh copy (copy-on-write), so a bench sweep or a
-// live server can retune batch sizes, flush intervals and queue caps
-// without rebuilds and without readers ever seeing a half-updated config.
+// Package conf defines the runtime-tunable consensus/batching knobs as a
+// plain value. It holds no state: each server owns its own Config
+// (chain.Sharded keeps the live one and retunes its shards' pools when it
+// changes), so two servers in one process never share a knob.
 //
-// Consumers: internal/mempool (batch size, flush interval, in-flight cap,
-// pool cap, lane count), chain.Shard (its mempool defaults), and
-// cmd/prever-bench (flags map straight onto Set*).
+// A Config is resolved in one of two ways. WithDefaults reads a field a
+// builder left zero as unset and takes the default; Sanitize clamps
+// values a user set, so there a zero FlushInterval proposes immediately.
 package conf
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Config is one snapshot of every runtime knob.
+// Config is one value of every runtime knob.
 type Config struct {
 	// BatchSize is the maximum number of operations the mempool batcher
 	// drains into one consensus instance.
 	BatchSize int
 	// FlushInterval is how long the batcher waits for a partial batch to
-	// fill before proposing it anyway. Zero proposes immediately.
+	// fill before proposing it anyway. Zero proposes immediately (but
+	// WithDefaults reads a zero as unset).
 	FlushInterval time.Duration
 	// MaxInFlight is how many batched consensus instances may be
 	// pipelined concurrently (slots/sequence numbers assigned eagerly,
@@ -54,7 +48,7 @@ type Config struct {
 	WALSegmentBytes int64
 }
 
-// Defaults is the configuration the system boots with.
+// Defaults is the configuration a server boots with.
 func Defaults() Config {
 	return Config{
 		BatchSize:       64,
@@ -69,9 +63,44 @@ func Defaults() Config {
 	}
 }
 
-// sanitize clamps a config to usable values so a zeroed or negative knob
+// WithDefaults returns c with every zero or negative field taken from
+// Defaults(). Builders (chain.NewShard, mempool.NewPool) resolve a
+// partly filled Config with it.
+func (c Config) WithDefaults() Config {
+	d := Defaults()
+	if c.BatchSize <= 0 {
+		c.BatchSize = d.BatchSize
+	}
+	if c.FlushInterval <= 0 {
+		c.FlushInterval = d.FlushInterval
+	}
+	if c.MaxInFlight <= 0 {
+		c.MaxInFlight = d.MaxInFlight
+	}
+	if c.MempoolCap <= 0 {
+		c.MempoolCap = d.MempoolCap
+	}
+	if c.Lanes <= 0 {
+		c.Lanes = d.Lanes
+	}
+	if c.DedupTTL <= 0 {
+		c.DedupTTL = d.DedupTTL
+	}
+	if c.MaxTxBytes <= 0 {
+		c.MaxTxBytes = d.MaxTxBytes
+	}
+	if c.SnapshotEvery == 0 {
+		c.SnapshotEvery = d.SnapshotEvery
+	}
+	if c.WALSegmentBytes <= 0 {
+		c.WALSegmentBytes = d.WALSegmentBytes
+	}
+	return c
+}
+
+// Sanitize clamps a config to usable values so a zeroed or negative knob
 // can never wedge the batcher.
-func (c *Config) sanitize() {
+func (c *Config) Sanitize() {
 	if c.BatchSize < 1 {
 		c.BatchSize = 1
 	}
@@ -100,98 +129,3 @@ func (c *Config) sanitize() {
 		c.WALSegmentBytes = 4 << 20
 	}
 }
-
-var (
-	cur atomic.Pointer[Config]
-	// setMu serializes writers so two concurrent Update calls cannot lose
-	// each other's fields; readers never take it.
-	setMu sync.Mutex
-)
-
-func init() {
-	d := Defaults()
-	cur.Store(&d)
-}
-
-// Snapshot returns the current configuration. All fields are from the
-// same generation.
-func Snapshot() Config { return *cur.Load() }
-
-// Set installs c (sanitized) as the current configuration.
-func Set(c Config) {
-	setMu.Lock()
-	defer setMu.Unlock()
-	c.sanitize()
-	cur.Store(&c)
-}
-
-// Update applies f to a copy of the current configuration and installs
-// the result; concurrent Update calls are serialized, so no field write
-// is lost.
-func Update(f func(*Config)) {
-	setMu.Lock()
-	defer setMu.Unlock()
-	c := *cur.Load()
-	f(&c)
-	c.sanitize()
-	cur.Store(&c)
-}
-
-// Reset restores Defaults (test hygiene).
-func Reset() { Set(Defaults()) }
-
-// Individual getters and setters, for call sites that touch one knob.
-
-// BatchSize returns the current batch size.
-func BatchSize() int { return Snapshot().BatchSize }
-
-// SetBatchSize updates the batch size.
-func SetBatchSize(n int) { Update(func(c *Config) { c.BatchSize = n }) }
-
-// FlushInterval returns the current partial-batch flush interval.
-func FlushInterval() time.Duration { return Snapshot().FlushInterval }
-
-// SetFlushInterval updates the partial-batch flush interval.
-func SetFlushInterval(d time.Duration) { Update(func(c *Config) { c.FlushInterval = d }) }
-
-// MaxInFlight returns the pipelining bound.
-func MaxInFlight() int { return Snapshot().MaxInFlight }
-
-// SetMaxInFlight updates the pipelining bound.
-func SetMaxInFlight(n int) { Update(func(c *Config) { c.MaxInFlight = n }) }
-
-// MempoolCap returns the mempool admission bound.
-func MempoolCap() int { return Snapshot().MempoolCap }
-
-// SetMempoolCap updates the mempool admission bound.
-func SetMempoolCap(n int) { Update(func(c *Config) { c.MempoolCap = n }) }
-
-// Lanes returns the mempool lane count.
-func Lanes() int { return Snapshot().Lanes }
-
-// SetLanes updates the mempool lane count.
-func SetLanes(n int) { Update(func(c *Config) { c.Lanes = n }) }
-
-// DedupTTL returns the executed-op dedup window.
-func DedupTTL() time.Duration { return Snapshot().DedupTTL }
-
-// SetDedupTTL updates the executed-op dedup window.
-func SetDedupTTL(d time.Duration) { Update(func(c *Config) { c.DedupTTL = d }) }
-
-// MaxTxBytes returns the encoded-transaction size bound.
-func MaxTxBytes() int { return Snapshot().MaxTxBytes }
-
-// SetMaxTxBytes updates the encoded-transaction size bound.
-func SetMaxTxBytes(n int) { Update(func(c *Config) { c.MaxTxBytes = n }) }
-
-// SnapshotEvery returns the durable-snapshot cadence.
-func SnapshotEvery() uint64 { return Snapshot().SnapshotEvery }
-
-// SetSnapshotEvery updates the durable-snapshot cadence.
-func SetSnapshotEvery(n uint64) { Update(func(c *Config) { c.SnapshotEvery = n }) }
-
-// WALSegmentBytes returns the WAL segment rotation threshold.
-func WALSegmentBytes() int64 { return Snapshot().WALSegmentBytes }
-
-// SetWALSegmentBytes updates the WAL segment rotation threshold.
-func SetWALSegmentBytes(n int64) { Update(func(c *Config) { c.WALSegmentBytes = n }) }

@@ -1,74 +1,31 @@
 package conf
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestDefaultsAndReset(t *testing.T) {
-	Reset()
-	got := Snapshot()
-	if got != Defaults() {
-		t.Fatalf("fresh snapshot %+v != defaults %+v", got, Defaults())
-	}
-	SetBatchSize(7)
-	if BatchSize() != 7 {
-		t.Fatalf("BatchSize = %d, want 7", BatchSize())
-	}
-	Reset()
-	if BatchSize() != Defaults().BatchSize {
-		t.Fatalf("Reset did not restore batch size")
-	}
-}
-
-func TestSettersAreSnapshotConsistent(t *testing.T) {
-	Reset()
-	defer Reset()
-	// A snapshot taken before an update never shows the new values.
-	before := Snapshot()
-	Update(func(c *Config) {
-		c.BatchSize = 128
-		c.MaxInFlight = 9
-	})
-	if before.BatchSize != Defaults().BatchSize {
-		t.Fatalf("held snapshot mutated: %+v", before)
-	}
-	after := Snapshot()
-	if after.BatchSize != 128 || after.MaxInFlight != 9 {
-		t.Fatalf("update not visible: %+v", after)
-	}
-}
-
 func TestSanitizeClampsNonsense(t *testing.T) {
-	defer Reset()
-	Set(Config{BatchSize: -1, FlushInterval: -time.Second, MaxInFlight: 0, MempoolCap: -5, Lanes: 0})
-	c := Snapshot()
+	c := Config{BatchSize: -1, FlushInterval: -time.Second, MaxInFlight: 0, MempoolCap: -5, Lanes: 0}
+	c.Sanitize()
 	if c.BatchSize < 1 || c.MaxInFlight < 1 || c.MempoolCap < 1 || c.Lanes < 1 || c.FlushInterval < 0 || c.DedupTTL <= 0 {
 		t.Fatalf("sanitize failed: %+v", c)
 	}
+	d := Defaults()
+	d.Sanitize()
+	if d != Defaults() {
+		t.Fatalf("sanitize changed the defaults: %+v", d)
+	}
 }
 
-func TestConcurrentUpdatesLoseNothing(t *testing.T) {
-	defer Reset()
-	Reset()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			SetBatchSize(100)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			SetLanes(16)
-		}
-	}()
-	wg.Wait()
-	c := Snapshot()
-	if c.BatchSize != 100 || c.Lanes != 16 {
-		t.Fatalf("concurrent single-field updates interfered: %+v", c)
+func TestWithDefaultsFillsOnlyUnsetFields(t *testing.T) {
+	if got := (Config{}).WithDefaults(); got != Defaults() {
+		t.Fatalf("zero config resolved to %+v, want the defaults", got)
+	}
+	got := Config{BatchSize: 3, FlushInterval: -time.Second, SnapshotEvery: 8}.WithDefaults()
+	want := Defaults()
+	want.BatchSize, want.SnapshotEvery = 3, 8
+	if got != want {
+		t.Fatalf("resolved %+v, want %+v", got, want)
 	}
 }

@@ -213,10 +213,10 @@ type Receipt struct {
 //
 // Engines whose updates are independently verifiable (per-producer
 // constraints) implement SubmitBatch with SubmitConcurrent — verification
-// fans out across key-hashed lanes while incorporation stays a short
+// fans out across per-producer lanes while incorporation stays a short
 // critical section. Engines whose verification protocol is inherently
 // serialized (a comparison oracle in the loop) fall back to
-// SubmitSequential; both defaults live in pipeline.go.
+// SubmitSequential; both defaults live in batch.go.
 type Engine interface {
 	// Name identifies the instantiation.
 	Name() string

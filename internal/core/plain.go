@@ -21,12 +21,12 @@ import (
 // privacy-preserving instantiation against this baseline on standard
 // workloads; experiments E1 and E2 do exactly that.
 // Concurrency: verification only reads, so Submit evaluates constraints
-// under a shared (read) lock — lanes of a Pipeline verify in parallel —
+// under a shared (read) lock — SubmitBatch's lanes verify in parallel —
 // while incorporation relies on the table's and ledger's own short
 // internal critical sections. Updates of the SAME producer must not race
-// (per-producer constraints read state the previous update wrote); the
-// pipeline's key-hashed lanes guarantee that ordering. Callers that
-// bypass the pipeline and concurrently Submit for one producer get
+// (per-producer constraints read state the previous update wrote);
+// SubmitBatch's per-producer lanes guarantee that ordering. Callers that
+// bypass SubmitBatch and concurrently Submit for one producer get
 // per-row consistency but may over-admit against per-producer bounds.
 type PlainManager struct {
 	name  string
@@ -151,10 +151,10 @@ func (m *PlainManager) incorporate(u Update, tbl *store.Table) (Receipt, error) 
 	return Receipt{UpdateID: u.ID, Accepted: true, LedgerSeq: rcpt.Seq}, nil
 }
 
-// SubmitBatch implements Engine: updates fan out across a key-hashed
-// pipeline (per-producer ordering, concurrent verification).
+// SubmitBatch implements Engine: updates fan out across per-producer
+// lanes (per-producer ordering, concurrent verification).
 func (m *PlainManager) SubmitBatch(us []Update) ([]Receipt, error) {
-	return SubmitConcurrent(m.Submit, LaneKey, us, 0)
+	return SubmitConcurrent(m.Submit, LaneKey, us)
 }
 
 // rowJSON renders a row into a JSON-friendly map (store.Value is a tagged

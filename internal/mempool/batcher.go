@@ -71,9 +71,9 @@ type Batcher struct {
 	stats BatchStats
 
 	// The in-flight gate: a counter guarded by a cond instead of a fixed
-	// semaphore, because the MaxInFlight bound re-resolves from the pool's
-	// live config on every acquire (a runtime conf change applies to the
-	// next batch, no restart).
+	// semaphore, because the MaxInFlight bound is re-read from the pool's
+	// live config on every acquire (a Pool.Retune applies to the next
+	// batch, no restart).
 	flMu     sync.Mutex
 	flCond   *sync.Cond
 	inFlight int

@@ -15,10 +15,10 @@
 //     (queued + in flight); beyond that Add returns ErrFull. This is the
 //     system's first overload shedding point — a caller that sees ErrFull
 //     backs off instead of growing an unbounded queue.
-//   - Per-lane ordering. Ops are queued on key-hashed lanes (the same
-//     fnv-1a mapping as core.Pipeline, see LaneIndex) and each lane drains
-//     FIFO, so two ops with the same lane key are always proposed — and,
-//     with in-order dispatch, applied — in submission order.
+//   - Per-lane ordering. Ops are queued on key-hashed lanes (fnv-1a, see
+//     LaneIndex) and each lane drains FIFO, so two ops with the same lane
+//     key are always proposed — and, with in-order dispatch, applied — in
+//     submission order.
 package mempool
 
 import (
@@ -42,10 +42,7 @@ type Op struct {
 	Data []byte
 }
 
-// LaneIndex maps an ordering key onto one of width lanes with fnv-1a —
-// the single lane mapping shared by core.Pipeline's worker lanes and the
-// mempool's queues, so an engine pipeline's per-producer lanes feed
-// straight into the matching mempool lanes.
+// LaneIndex maps an ordering key onto one of width lanes with fnv-1a.
 func LaneIndex(key string, width int) int {
 	if width <= 1 {
 		return 0
@@ -69,12 +66,11 @@ var (
 	ErrDuplicate = errors.New("mempool: duplicate op (already executed)")
 )
 
-// Config sizes a Pool and its Batcher. Zero fields default from the
-// current conf snapshot (conf.Snapshot) — and keep tracking it: Cap,
-// BatchSize, FlushInterval and MaxInFlight re-resolve on every use, so a
-// runtime conf.Update (e.g. POST /conf on a running server) retunes live
-// pools without a restart. Lanes and DedupTTL are structural (the lane
-// slices and the TTL filter are built once) and resolve only at NewPool.
+// Config sizes a Pool and its Batcher. NewPool resolves it by
+// conf.Config.WithDefaults: zero or negative fields take conf.Defaults().
+// Cap, BatchSize, FlushInterval and MaxInFlight can be retuned on a live
+// pool (Retune); Lanes and DedupTTL are structural (the lane slices and
+// the TTL filter are built once).
 type Config struct {
 	Cap           int           // admission bound on unresolved ops
 	Lanes         int           // key-hashed lane count
@@ -84,28 +80,16 @@ type Config struct {
 	DedupTTL      time.Duration // executed-ID memory window
 }
 
-// withDefaults fills zero fields from the runtime configuration.
-func (c Config) withDefaults() Config {
-	d := conf.Snapshot()
-	if c.Cap <= 0 {
-		c.Cap = d.MempoolCap
+// FromConf is the pool slice of a server configuration.
+func FromConf(c conf.Config) Config {
+	return Config{
+		Cap:           c.MempoolCap,
+		Lanes:         c.Lanes,
+		BatchSize:     c.BatchSize,
+		FlushInterval: c.FlushInterval,
+		MaxInFlight:   c.MaxInFlight,
+		DedupTTL:      c.DedupTTL,
 	}
-	if c.Lanes <= 0 {
-		c.Lanes = d.Lanes
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = d.BatchSize
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = d.FlushInterval
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = d.MaxInFlight
-	}
-	if c.DedupTTL <= 0 {
-		c.DedupTTL = d.DedupTTL
-	}
-	return c
 }
 
 // opState tracks one unresolved op: its ack fan-out and whether it is
@@ -141,10 +125,8 @@ type PoolStats struct {
 // Pool is the pending pool. One Batcher drains it; any number of
 // producers Add concurrently.
 type Pool struct {
-	raw Config // as passed to NewPool: zero fields mean "track conf live"
-	cfg Config // resolved at construction; source of the structural knobs
-
 	mu       sync.Mutex
+	cfg      Config
 	lanes    [][]Op
 	rr       int // round-robin drain cursor
 	states   map[string]*opState
@@ -156,43 +138,45 @@ type Pool struct {
 	stats    PoolStats
 }
 
-// NewPool builds a pool; zero Config fields default from conf and keep
-// tracking later conf updates (see Config).
+// NewPool builds a pool; zero or negative Config fields take
+// conf.Defaults().
 func NewPool(cfg Config) *Pool {
-	resolved := cfg.withDefaults()
+	cfg = FromConf(conf.Config{
+		MempoolCap:    cfg.Cap,
+		Lanes:         cfg.Lanes,
+		BatchSize:     cfg.BatchSize,
+		FlushInterval: cfg.FlushInterval,
+		MaxInFlight:   cfg.MaxInFlight,
+		DedupTTL:      cfg.DedupTTL,
+	}.WithDefaults())
 	return &Pool{
-		raw:      cfg,
-		cfg:      resolved,
-		lanes:    make([][]Op, resolved.Lanes),
+		cfg:      cfg,
+		lanes:    make([][]Op, cfg.Lanes),
 		states:   make(map[string]*opState),
-		executed: NewTTLFilter(resolved.DedupTTL),
+		executed: NewTTLFilter(cfg.DedupTTL),
 		notify:   make(chan struct{}, 1),
 	}
 }
 
 // Config returns the configuration the pool is running with right now.
-// Fields that were zero at NewPool re-resolve against the current conf
-// snapshot, so a runtime conf change shows up here — and in the pool's
-// behaviour — immediately; explicitly-set fields and the structural knobs
-// (Lanes, DedupTTL) stay pinned.
 func (p *Pool) Config() Config {
-	c := p.raw
-	d := conf.Snapshot()
-	if c.Cap <= 0 {
-		c.Cap = d.MempoolCap
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = d.BatchSize
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = d.FlushInterval
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = d.MaxInFlight
-	}
-	c.Lanes = p.cfg.Lanes
-	c.DedupTTL = p.cfg.DedupTTL
-	return c
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cfg
+}
+
+// Retune installs c's Cap, BatchSize, FlushInterval and MaxInFlight on
+// the running pool; the next admission, drain and dispatch use them.
+// Lanes and DedupTTL are structural and ignored. c must already be
+// clamped to usable values (conf.Config.Sanitize): a zero BatchSize or
+// MaxInFlight would stall the batcher.
+func (p *Pool) Retune(c Config) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cfg.Cap = c.Cap
+	p.cfg.BatchSize = c.BatchSize
+	p.cfg.FlushInterval = c.FlushInterval
+	p.cfg.MaxInFlight = c.MaxInFlight
 }
 
 // Add admits op. done is invoked exactly once with the op's outcome (nil
@@ -221,7 +205,7 @@ func (p *Pool) Add(op Op, done func(error)) error {
 		done(ErrDuplicate)
 		return nil
 	}
-	if p.queued+p.inFlight >= p.Config().Cap {
+	if p.queued+p.inFlight >= p.cfg.Cap {
 		p.stats.RejectedFull++
 		p.mu.Unlock()
 		return ErrFull
@@ -289,12 +273,13 @@ func (p *Pool) WaitBatch(stop <-chan struct{}) []Op {
 	}()
 	flushing := false
 	for {
-		cfg := p.Config() // re-resolved each pass: conf changes apply live
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
 			return nil
 		}
+		// Read each pass, so a Retune applies to the next batch.
+		cfg := p.cfg
 		if p.queued >= cfg.BatchSize || (p.queued > 0 && (flushing || cfg.FlushInterval <= 0)) {
 			ops := p.drainLocked(cfg.BatchSize)
 			p.mu.Unlock()

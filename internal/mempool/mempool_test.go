@@ -201,29 +201,24 @@ func TestPoolDuplicateSuppression(t *testing.T) {
 	}
 }
 
-// TestPoolTracksConfLive pins the runtime-retuning contract: knobs left
-// zero at NewPool re-resolve against the live conf snapshot on every use,
-// while explicitly-set knobs and the structural ones stay pinned.
+// TestPoolTracksConfLive pins the runtime-retuning contract: Retune
+// applies the batching knobs to a live pool, while the structural ones
+// stay as built.
 func TestPoolTracksConfLive(t *testing.T) {
-	conf.Reset()
-	t.Cleanup(conf.Reset)
-	p := NewPool(Config{Cap: 7}) // Cap pinned; everything else tracks conf
-	if got := p.Config(); got.Cap != 7 || got.BatchSize != conf.BatchSize() {
+	p := NewPool(Config{Cap: 7})
+	if got := p.Config(); got.Cap != 7 || got.BatchSize != conf.Defaults().BatchSize {
 		t.Fatalf("initial config = %+v", got)
 	}
-	conf.Update(func(c *conf.Config) {
-		c.BatchSize = 3
-		c.FlushInterval = 42 * time.Millisecond
-		c.MaxInFlight = 9
-		c.MempoolCap = 1
-		c.Lanes = 99 // structural: must NOT apply to a live pool
+	p.Retune(Config{
+		Cap:           7,
+		BatchSize:     3,
+		FlushInterval: 42 * time.Millisecond,
+		MaxInFlight:   9,
+		Lanes:         99, // structural: must NOT apply to a live pool
 	})
 	got := p.Config()
 	if got.BatchSize != 3 || got.FlushInterval != 42*time.Millisecond || got.MaxInFlight != 9 {
 		t.Fatalf("conf change not visible: %+v", got)
-	}
-	if got.Cap != 7 {
-		t.Fatalf("explicit Cap drifted to %d", got.Cap)
 	}
 	if got.Lanes == 99 {
 		t.Fatal("structural Lanes knob re-resolved on a live pool")

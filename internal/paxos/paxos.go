@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"prever/internal/netsim"
-	"prever/internal/wal"
 )
 
 // ErrSlotLost reports that the slot a Propose call was waiting on was
@@ -67,11 +66,9 @@ type promiseMsg struct {
 	Ballot   Ballot      `json:"ballot"`
 	Accepted []slotValue `json:"accepted,omitempty"`
 	// Applied is the acceptor's contiguous-applied floor: every slot
-	// below it is chosen cluster-wide. Durable acceptors prune accepted
-	// entries below their snapshot floor, so the classical "no promise
-	// reported an accept, therefore nothing was chosen" inference is only
-	// valid at or above the quorum's highest Applied — the new leader
-	// must treat slots below it as chosen-elsewhere, never as free.
+	// below it is chosen cluster-wide, so the new leader treats slots
+	// below the quorum's highest Applied as chosen-elsewhere, never as
+	// free.
 	Applied uint64 `json:"applied,omitempty"`
 }
 
@@ -99,17 +96,6 @@ type syncReqMsg struct {
 
 type syncRepMsg struct {
 	Entries []learnMsg `json:"entries,omitempty"`
-	// Snap carries a full state image when the requester's floor is below
-	// the slots this peer still retains (compaction discarded the prefix
-	// the requester needs); see onSyncReq.
-	Snap *pxImage `json:"snap,omitempty"`
-}
-
-// pxImage is a checkpoint offered over sync when per-slot catch-up is
-// impossible: the application state as of a contiguous-applied floor.
-type pxImage struct {
-	Applied uint64 `json:"applied"`
-	App     []byte `json:"app,omitempty"`
 }
 
 // Applier is called with each chosen value, in slot order, exactly once
@@ -166,21 +152,6 @@ type Replica struct {
 	applied  uint64
 	waiters  map[uint64]*slotWaiter
 	lastSeen Ballot // highest ballot observed anywhere (for election)
-	// chosenFloor is the lowest slot the chosen map is guaranteed to
-	// cover: snapshot restore (and image adoption) prune everything
-	// below it, so sync requests from further back need a state image
-	// rather than per-slot entries. Zero for in-memory replicas.
-	chosenFloor uint64
-
-	// Durability (nil log == in-memory mode; see durable.go). walFailed
-	// is sticky: once a journal write fails the replica refuses to vote
-	// (an acceptor whose promises aren't durable is unsafe to count) but
-	// keeps learning in memory.
-	log       *wal.Log
-	logApp    wal.Snapshotter
-	snapEvery uint64
-	lastSnap  uint64 // applied floor at the last snapshot (applyMu)
-	walFailed bool
 }
 
 // NewReplica creates and registers a replica on the network. peers must
@@ -227,14 +198,9 @@ func (r *Replica) BecomeLeader(timeout time.Duration) error {
 	r.lastSeen = r.ballot
 	r.promises = map[string]promiseMsg{}
 	r.promiseCh = make(chan struct{}, len(r.peers))
-	// Self-promise. Durable mode journals it before it is counted: a
-	// promise that wouldn't survive a crash must not join the quorum.
+	// Self-promise.
 	if r.promised.Less(r.ballot) {
 		r.promised = r.ballot
-		if !r.journalLocked(pxRecord{K: pxPromise, B: r.ballot}) {
-			r.mu.Unlock()
-			return errors.New("paxos: journaling self-promise failed")
-		}
 	}
 	r.promises[r.id] = promiseMsg{Ballot: r.ballot, Accepted: r.acceptedListLocked(), Applied: r.applied}
 	ballot := r.ballot
@@ -253,12 +219,9 @@ func (r *Replica) BecomeLeader(timeout time.Duration) error {
 			adopt := map[uint64]slotValue{}
 			maxSlot := uint64(0)
 			// floor: the quorum's highest contiguous-applied slot. Every
-			// slot below it is already chosen cluster-wide, but durable
-			// acceptors prune accepted entries below their snapshot
-			// floors — so for those slots the promise quorum's silence
-			// (or a stale lower-ballot leftover) proves nothing. The
-			// leader must neither re-propose nor no-op fill below floor;
-			// it learn-syncs those values instead.
+			// slot below it is already chosen cluster-wide, so the leader
+			// neither re-proposes nor no-op fills below floor; it
+			// learn-syncs those values instead.
 			floor := r.applied
 			for _, p := range r.promises {
 				for _, sv := range p.Accepted {
@@ -277,8 +240,7 @@ func (r *Replica) BecomeLeader(timeout time.Duration) error {
 			if maxSlot > r.nextSlot {
 				r.nextSlot = maxSlot
 			}
-			// New proposals must land above every already-chosen slot,
-			// even when the accepts that chose them have been pruned.
+			// New proposals must land above every already-chosen slot.
 			if floor > r.nextSlot {
 				r.nextSlot = floor
 			}
@@ -295,11 +257,10 @@ func (r *Replica) BecomeLeader(timeout time.Duration) error {
 			}
 			// No-op fill: a slot in [floor, nextSlot) with no adopted
 			// value and no chosen value was never accepted by anyone in
-			// the promise quorum (at or above floor nothing has been
-			// pruned, so a choosing quorum would have left a trace in
-			// every intersecting promise quorum). Fill it with an empty
-			// value so contiguous application never stalls on a gap left
-			// by a crashed leader.
+			// the promise quorum (a choosing quorum would have left a
+			// trace in every intersecting promise quorum). Fill it with
+			// an empty value so contiguous application never stalls on a
+			// gap left by a crashed leader.
 			for slot := floor; slot < r.nextSlot; slot++ {
 				if _, ok := adopt[slot]; ok {
 					continue
@@ -328,8 +289,7 @@ func (r *Replica) BecomeLeader(timeout time.Duration) error {
 			}
 			if needSync {
 				// Slots in [applied, floor) are chosen but unknown here;
-				// pull them (or a state image, if peers compacted them
-				// away) so local application can pass the gap.
+				// pull them so local application can pass the gap.
 				r.Sync()
 			}
 			return nil
@@ -547,22 +507,14 @@ func (r *Replica) handle(m netsim.Message) {
 		if json.Unmarshal(m.Payload, &s) != nil {
 			return
 		}
-		if s.Snap != nil {
-			r.adoptImage(s.Snap)
-		}
 		for _, l := range s.Entries {
 			r.onLearn(l)
 		}
 	}
 }
 
-// onSyncReq serves chosen values at or above the requester's floor. When
-// the requester is below this replica's own retained floor (compaction
-// discarded the prefix it needs), per-slot catch-up cannot work — the
-// reply carries a state image instead. applyMu keeps the applier
-// quiescent so the image is exactly the applied floor.
+// onSyncReq serves chosen values at or above the requester's floor.
 func (r *Replica) onSyncReq(from string, s syncReqMsg) {
-	r.applyMu.Lock()
 	r.mu.Lock()
 	rep := syncRepMsg{}
 	for slot, v := range r.chosen {
@@ -570,14 +522,8 @@ func (r *Replica) onSyncReq(from string, s syncReqMsg) {
 			rep.Entries = append(rep.Entries, learnMsg{Slot: slot, Value: v})
 		}
 	}
-	if s.From < r.chosenFloor && r.applied > s.From && r.logApp != nil {
-		if blob, err := r.logApp.Snapshot(); err == nil {
-			rep.Snap = &pxImage{Applied: r.applied, App: blob}
-		}
-	}
 	r.mu.Unlock()
-	r.applyMu.Unlock()
-	if len(rep.Entries) > 0 || rep.Snap != nil {
+	if len(rep.Entries) > 0 {
 		r.send(from, msgSyncRep, rep)
 	}
 }
@@ -592,13 +538,6 @@ func (r *Replica) onPrepare(from string, p prepareMsg) {
 		// A higher ballot demotes any current leadership.
 		if r.leading && r.ballot.Less(p.Ballot) {
 			r.leading = false
-		}
-		// fsync point: the promise must be on stable storage before the
-		// vote is sent — a recovered acceptor that forgot it could
-		// promise a lower ballot and split the log.
-		if !r.journalLocked(pxRecord{K: pxPromise, B: p.Ballot}) {
-			r.mu.Unlock()
-			return
 		}
 		reply := promiseMsg{Ballot: p.Ballot, Accepted: r.acceptedListLocked(), Applied: r.applied}
 		r.mu.Unlock()
@@ -637,13 +576,6 @@ func (r *Replica) onAccept(from string, a acceptMsg) {
 		r.leading = false
 	}
 	r.accepted[a.Slot] = slotValue{Slot: a.Slot, Ballot: a.Ballot, Value: a.Value}
-	// fsync point: the accept (which doubles as a promise for a.Ballot)
-	// must be durable before the accepted vote is sent — choosing quorums
-	// count on it surviving a crash.
-	if !r.journalLocked(pxRecord{K: pxAccept, B: a.Ballot, S: a.Slot, V: a.Value}) {
-		r.mu.Unlock()
-		return
-	}
 	r.mu.Unlock()
 	if from == r.id {
 		// Leader's self-vote.
@@ -691,10 +623,8 @@ type applyItem struct {
 
 // applyChosen hands chosen slots to the Applier in order, with applyMu
 // held and mu not. The applied floor advances past a slot only once its
-// callback has returned, so Applied (and WaitApplied) never report a
-// value the application has not received; a snapshot the new floor
-// makes due is written in the same critical section, so the floor is
-// not observable before the write finishes either.
+// callback has returned, so Applied never reports a value the
+// application has not received.
 func (r *Replica) applyChosen(items []applyItem) {
 	for _, it := range items {
 		if r.apply != nil {
@@ -702,7 +632,6 @@ func (r *Replica) applyChosen(items []applyItem) {
 		}
 		r.mu.Lock()
 		r.applied = it.slot + 1
-		r.maybeSnapshotLocked()
 		r.mu.Unlock()
 	}
 }
@@ -716,8 +645,6 @@ func (r *Replica) onLearn(l learnMsg) {
 	defer r.applyMu.Unlock()
 	r.mu.Lock()
 	if l.Slot < r.applied {
-		// Already applied; after an image adoption the chosen entry
-		// itself may be gone, so the done-check below wouldn't catch it.
 		r.mu.Unlock()
 		return
 	}
@@ -726,12 +653,6 @@ func (r *Replica) onLearn(l learnMsg) {
 		return
 	}
 	r.chosen[l.Slot] = l.Value
-	// fsync point: the chosen value is journaled before any waiter is
-	// woken — an acked op is on this replica's disk (and, having been
-	// chosen, on a durable quorum of acceptor journals). A journal
-	// failure here degrades to in-memory learning: the value is already
-	// chosen cluster-wide and recoverable by learn-sync from peers.
-	_ = r.journalLocked(pxRecord{K: pxChosen, S: l.Slot, V: l.Value})
 	// Apply contiguous prefix.
 	var toApply []applyItem
 	for next := r.applied; ; next++ {
