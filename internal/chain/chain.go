@@ -378,22 +378,16 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 			// as is, so no peer re-encodes it.
 			txs := make([]Tx, 0, len(batch))
 			leaves := make([][]byte, 0, len(batch))
-			decode := func(op []byte) {
-				if tx, err := parseTx(op); err == nil {
-					txs = append(txs, tx)
-					leaves = append(leaves, op)
-				}
-			}
 			for _, req := range batch {
-				// A request is either one mempool batch (fanned back out
-				// into its transactions) or a bare single transaction from
-				// the synchronous path.
-				if ops, ok := pbft.DecodeBatch(req.Op); ok {
-					for _, op := range ops {
-						decode(op)
+				// Each request is one mempool batch, fanned back out into
+				// its transactions; anything else is not the shard's and
+				// is dropped.
+				ops, _ := pbft.DecodeBatch(req.Op)
+				for _, op := range ops {
+					if tx, err := parseTx(op); err == nil {
+						txs = append(txs, tx)
+						leaves = append(leaves, op)
 					}
-				} else {
-					decode(req.Op)
 				}
 			}
 			if len(txs) > 0 {
@@ -408,7 +402,6 @@ func NewShard(net *netsim.Network, cfg ShardConfig) (*Shard, error) {
 				Dir:           filepath.Join(cfg.DataDir, id),
 				App:           peer,
 				SnapshotEvery: s.conf.SnapshotEvery,
-				SegmentBytes:  s.conf.WALSegmentBytes,
 			})
 		} else {
 			replica, err = pbft.NewReplica(net, id, ids, cfg.F, applier, cfg.PBFT)
@@ -481,7 +474,7 @@ func (s *Shard) Close() error {
 // structural knobs keep the values the shard was built with.
 func (s *Shard) retune(c conf.Config) {
 	c.Lanes, c.DedupTTL = s.conf.Lanes, s.conf.DedupTTL
-	c.SnapshotEvery, c.WALSegmentBytes = s.conf.SnapshotEvery, s.conf.WALSegmentBytes
+	c.SnapshotEvery = s.conf.SnapshotEvery
 	s.conf = c
 	s.pool.Retune(mempool.FromConf(c))
 	s.maxTxBytes.Store(int64(c.MaxTxBytes))
@@ -548,9 +541,9 @@ func (c *Sharded) Conf() conf.Config {
 // fails, installs the sanitized result on every shard: the batching
 // knobs and MaxTxBytes take effect without a restart, and a zero
 // FlushInterval proposes immediately. The structural knobs (Lanes,
-// DedupTTL, SnapshotEvery, WALSegmentBytes) keep the values the shards
-// were built with. Concurrent updates are serialized, so none loses
-// another's fields. It returns the live configuration.
+// DedupTTL, SnapshotEvery) keep the values the shards were built with.
+// Concurrent updates are serialized, so none loses another's fields. It
+// returns the live configuration.
 func (c *Sharded) UpdateConf(f func(*conf.Config) error) (conf.Config, error) {
 	c.confMu.Lock()
 	defer c.confMu.Unlock()

@@ -43,23 +43,19 @@ type Config struct {
 	// consensus snapshots (WAL compaction points) when a shard runs with
 	// a data directory.
 	SnapshotEvery uint64
-	// WALSegmentBytes is the WAL segment rotation threshold for durable
-	// replicas.
-	WALSegmentBytes int64
 }
 
 // Defaults is the configuration a server boots with.
 func Defaults() Config {
 	return Config{
-		BatchSize:       64,
-		FlushInterval:   500 * time.Microsecond,
-		MaxInFlight:     4,
-		MempoolCap:      4096,
-		Lanes:           8,
-		DedupTTL:        time.Minute,
-		MaxTxBytes:      1 << 20,
-		SnapshotEvery:   256,
-		WALSegmentBytes: 4 << 20,
+		BatchSize:     64,
+		FlushInterval: 500 * time.Microsecond,
+		MaxInFlight:   4,
+		MempoolCap:    4096,
+		Lanes:         8,
+		DedupTTL:      time.Minute,
+		MaxTxBytes:    1 << 20,
+		SnapshotEvery: 256,
 	}
 }
 
@@ -92,9 +88,6 @@ func (c Config) WithDefaults() Config {
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = d.SnapshotEvery
 	}
-	if c.WALSegmentBytes <= 0 {
-		c.WALSegmentBytes = d.WALSegmentBytes
-	}
 	return c
 }
 
@@ -124,8 +117,5 @@ func (c *Config) Sanitize() {
 	}
 	if c.SnapshotEvery < 1 {
 		c.SnapshotEvery = 256
-	}
-	if c.WALSegmentBytes < 1 {
-		c.WALSegmentBytes = 4 << 20
 	}
 }

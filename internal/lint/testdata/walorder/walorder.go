@@ -143,6 +143,44 @@ func (r *replica) snapshotDiscarded(img []byte) {
 	r.vote(img) // want walorder
 }
 
+// markExecuted has the shape of the execution bookkeeping that live
+// execution and journal replay share: it updates state but neither
+// journals nor sends, so it neither raises nor clears an event.
+func (r *replica) markExecuted(rec []byte) [][]byte {
+	return [][]byte{rec}
+}
+
+// replayExecuted: replay runs the shared bookkeeping and applies; it
+// never journals or speaks.
+func (r *replica) replayExecuted(rec []byte, apply func([][]byte)) {
+	apply(r.markExecuted(rec))
+}
+
+// executeGated: live execution runs the shared bookkeeping, journals,
+// applies outside the lock, and gates the checkpoint vote on the kept
+// journal outcome.
+func (r *replica) executeGated(mu *sync.Mutex, rec []byte, apply func([][]byte)) {
+	fresh := r.markExecuted(rec)
+	durable := r.journal(rec)
+	mu.Unlock()
+	apply(fresh)
+	mu.Lock()
+	if durable {
+		r.vote(rec)
+	}
+}
+
+// executeUngated: the same path with the journal outcome thrown away;
+// the checkpoint vote after the apply is reported.
+func (r *replica) executeUngated(mu *sync.Mutex, rec []byte, apply func([][]byte)) {
+	fresh := r.markExecuted(rec)
+	_ = r.journal(rec)
+	mu.Unlock()
+	apply(fresh)
+	mu.Lock()
+	r.vote(rec) // want walorder
+}
+
 // ignored: a reviewed site stays silent under a directive.
 func (r *replica) ignored(rec []byte) {
 	_ = r.journal(rec)

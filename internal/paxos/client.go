@@ -13,9 +13,14 @@ import (
 type ClientOptions struct {
 	TryTimeout   time.Duration // per-attempt Propose timeout (default 400ms)
 	ElectTimeout time.Duration // per-attempt BecomeLeader timeout (default 800ms)
-	Backoff      time.Duration // initial retry backoff (default 5ms)
-	MaxBackoff   time.Duration // backoff cap (default 160ms)
 }
+
+// The client's retry backoff starts at clientBackoff and doubles up to
+// clientMaxBackoff.
+const (
+	clientBackoff    = 5 * time.Millisecond
+	clientMaxBackoff = 160 * time.Millisecond
+)
 
 func (o *ClientOptions) withDefaults() {
 	if o.TryTimeout <= 0 {
@@ -23,12 +28,6 @@ func (o *ClientOptions) withDefaults() {
 	}
 	if o.ElectTimeout <= 0 {
 		o.ElectTimeout = 800 * time.Millisecond
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 5 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 160 * time.Millisecond
 	}
 }
 
@@ -62,7 +61,7 @@ func NewClient(net *netsim.Network, replicas []*Replica, opts ClientOptions) (*C
 // elapses. It returns the slot the value was committed into.
 func (c *Client) Propose(value []byte, budget time.Duration) (uint64, error) {
 	deadline := time.Now().Add(budget)
-	backoff := c.opts.Backoff
+	backoff := clientBackoff
 	lastErr := errors.New("paxos: no live replica")
 	for attempt := 0; ; attempt++ {
 		if r := c.leaderFor(attempt); r != nil {
@@ -96,21 +95,8 @@ func (c *Client) Propose(value []byte, budget time.Duration) (uint64, error) {
 		if sleep > 0 {
 			time.Sleep(sleep)
 		}
-		backoff *= 2
-		if backoff > c.opts.MaxBackoff {
-			backoff = c.opts.MaxBackoff
-		}
+		backoff = min(2*backoff, clientMaxBackoff)
 	}
-}
-
-// SetReplicas swaps the replica set the client fails over across —
-// needed when a crashed replica is rebuilt from its data directory (the
-// recovered object replaces the dead one). Any cached leader is dropped.
-func (c *Client) SetReplicas(replicas []*Replica) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.replicas = append([]*Replica(nil), replicas...)
-	c.leader = nil
 }
 
 // leaderFor returns a replica believed to lead, electing one if none

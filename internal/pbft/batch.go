@@ -18,7 +18,7 @@ import (
 // semantics across retries.
 
 // batchMagic prefixes encoded batches so appliers can tell a batch
-// request from a bare single-op request.
+// request from anything else.
 var batchMagic = []byte("pbB2")
 
 // EncodeBatch frames ops as one submittable operation: the magic, then
@@ -36,9 +36,8 @@ func EncodeBatch(ops [][]byte) []byte {
 	return w.Bytes()
 }
 
-// DecodeBatch unframes a batch operation. ok is false when v is not a
-// well-formed batch, in which case the applier should treat v as a
-// single operation. The ops alias v.
+// DecodeBatch unframes a batch operation. ok is false, and ops nil,
+// when v is not a well-formed batch. The ops alias v.
 func DecodeBatch(v []byte) ([][]byte, bool) {
 	if !bytes.HasPrefix(v, batchMagic) {
 		return nil, false

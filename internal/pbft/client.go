@@ -13,19 +13,18 @@ import (
 // ClientOptions tunes the failover client's retry behaviour.
 type ClientOptions struct {
 	TryTimeout time.Duration // per-attempt Submit timeout (default 1s; should exceed ViewTimeout so a dead primary is replaced within the attempt)
-	Backoff    time.Duration // initial retry backoff (default 10ms)
-	MaxBackoff time.Duration // backoff cap (default 320ms)
 }
+
+// The client's retry backoff starts at clientBackoff and doubles up to
+// clientMaxBackoff.
+const (
+	clientBackoff    = 10 * time.Millisecond
+	clientMaxBackoff = 320 * time.Millisecond
+)
 
 func (o *ClientOptions) withDefaults() {
 	if o.TryTimeout <= 0 {
 		o.TryTimeout = time.Second
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 10 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 320 * time.Millisecond
 	}
 }
 
@@ -77,7 +76,7 @@ func (c *Client) Submit(op []byte, budget time.Duration) error {
 // exactly one execution.
 func (c *Client) submit(seq uint64, op []byte, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
-	backoff := c.opts.Backoff
+	backoff := clientBackoff
 	lastErr := errors.New("pbft: no live replica")
 	for attempt := 0; ; attempt++ {
 		if r := c.pick(attempt); r != nil {
@@ -103,10 +102,7 @@ func (c *Client) submit(seq uint64, op []byte, budget time.Duration) error {
 		if sleep > 0 {
 			time.Sleep(sleep)
 		}
-		backoff *= 2
-		if backoff > c.opts.MaxBackoff {
-			backoff = c.opts.MaxBackoff
-		}
+		backoff = min(2*backoff, clientMaxBackoff)
 	}
 }
 

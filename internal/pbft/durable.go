@@ -94,6 +94,8 @@ type pbSnapshot struct {
 	Insts []pbInstSnap
 }
 
+// pbInstSnap is one in-flight instance in a snapshot. The Cert* fields
+// are the instance's prepared certificate, zero when it has none.
 type pbInstSnap struct {
 	Seq         uint64
 	Digest      Digest
@@ -179,8 +181,6 @@ type DurableOptions struct {
 	// SnapshotEvery is the number of executed sequences between
 	// snapshots. Zero means DefaultSnapshotEvery.
 	SnapshotEvery uint64
-	// SegmentBytes overrides the WAL segment rotation threshold.
-	SegmentBytes int64
 	// NoSync disables fsync (tests/benches only).
 	NoSync bool
 }
@@ -202,7 +202,7 @@ func NewDurableReplica(net *netsim.Network, id string, ids []string, f int, appl
 	if err != nil {
 		return nil, err
 	}
-	log, rec, err := wal.Open(d.Dir, wal.Options{SegmentBytes: d.SegmentBytes, NoSync: d.NoSync})
+	log, rec, err := wal.Open(d.Dir, wal.Options{NoSync: d.NoSync})
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +241,6 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery, app wal.Snapshotter) error 
 		r.view = snap.View
 		r.execSeq = snap.ExecSeq
 		r.nextSeq = snap.ExecSeq
-		r.execFloor = snap.ExecSeq
 		r.stable = snap.Stable
 		for _, k := range snap.Executed {
 			r.executedR[k] = true
@@ -260,10 +259,9 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery, app wal.Snapshotter) error 
 			inst.batch = is.Batch
 			inst.prePrepared = is.PrePrepared
 			inst.committed = is.Committed
-			inst.certSet = is.CertSet
-			inst.certView = is.CertView
-			inst.certDigest = is.CertDigest
-			inst.certBatch = is.CertBatch
+			if is.CertSet {
+				inst.cert = &prePrepareMsg{View: is.CertView, Seq: is.Seq, Digest: is.CertDigest, Batch: is.CertBatch}
+			}
 			if is.Seq >= r.nextSeq {
 				r.nextSeq = is.Seq + 1
 			}
@@ -321,7 +319,7 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery, app wal.Snapshotter) error 
 			// decided stays false: a recovered cert proves this replica's
 			// vote, not a counted 2f+1 commit quorum.
 			inst.committed = true
-			inst.setCertLocked(pr.View)
+			inst.setCertLocked(pr.View, pr.Seq)
 		case pbEX:
 			if pr.Seq != r.execSeq {
 				break // exec records are journaled in execution order
@@ -339,25 +337,12 @@ func (r *Replica) recoverFromDisk(rec *wal.Recovery, app wal.Snapshotter) error 
 }
 
 // reexecuteRecovered re-applies one journaled execution during recovery:
-// the same dedup-and-apply path as executeInstanceLocked, minus the
-// messaging, journaling, and waiter machinery (there are none yet).
+// executeInstanceLocked's bookkeeping and apply, minus the journaling,
+// waiters and checkpoint votes (there are none yet). The commit vote the
+// replica sent before it executed is not sent again.
 func (r *Replica) reexecuteRecovered(pr pbRecord) {
-	inst := r.instLocked(pr.Seq)
-	inst.executed = true
-	inst.prePrepared = true
-	inst.digest = pr.Digest
-	inst.batch = pr.Batch
-	inst.committed = true
-	r.execSeq = pr.Seq + 1
-	r.execLog[pr.Seq] = execEntry{Seq: pr.Seq, Digest: pr.Digest, Batch: pr.Batch}
-	fresh := pr.Batch[:0:0]
-	for _, req := range pr.Batch {
-		if r.executedR[idOf(req)] {
-			continue
-		}
-		r.executedR[idOf(req)] = true
-		fresh = append(fresh, req)
-	}
+	fresh := r.markExecutedLocked(pr.Seq, pr.Digest, pr.Batch)
+	r.insts[pr.Seq].committed = true
 	if r.apply != nil && len(fresh) > 0 {
 		r.apply(pr.Seq, fresh)
 	}
@@ -408,20 +393,20 @@ func (r *Replica) maybeSnapshotLocked(seq uint64) {
 		Executed: sortedIDs(r.executedR),
 	}
 	for seq, inst := range r.insts {
-		if inst.executed || seq < r.execSeq || (!inst.prePrepared && !inst.certSet) {
+		if inst.executed || seq < r.execSeq || (!inst.prePrepared && inst.cert == nil) {
 			continue
 		}
-		snap.Insts = append(snap.Insts, pbInstSnap{
+		is := pbInstSnap{
 			Seq:         seq,
 			Digest:      inst.digest,
 			Batch:       inst.batch,
 			PrePrepared: inst.prePrepared,
 			Committed:   inst.committed,
-			CertSet:     inst.certSet,
-			CertView:    inst.certView,
-			CertDigest:  inst.certDigest,
-			CertBatch:   inst.certBatch,
-		})
+		}
+		if c := inst.cert; c != nil {
+			is.CertSet, is.CertView, is.CertDigest, is.CertBatch = true, c.View, c.Digest, c.Batch
+		}
+		snap.Insts = append(snap.Insts, is)
 	}
 	sort.Slice(snap.Insts, func(i, j int) bool { return snap.Insts[i].Seq < snap.Insts[j].Seq })
 	if r.logApp != nil {

@@ -346,3 +346,41 @@ func TestDurableStragglerImagesBounded(t *testing.T) {
 		t.Fatalf("straggler state diverged:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestImageAdoptionWakesWaiters: a request a replica is waiting on that
+// reaches it only inside an adopted state image counts as executed
+// there, so SubmitAsync's channel closes and the waiter is dropped.
+func TestImageAdoptionWakesWaiters(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	ids := []string{"r0", "r1", "r2", "r3"}
+	app := &durableSeqApp{}
+	r, err := NewDurableReplica(net, "r3", ids, 1, app.apply, Options{}, DurableOptions{Dir: t.TempDir(), App: app, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.CloseStorage() })
+	done := r.SubmitAsync("cli", 1, []byte("op-00"))
+	blob, err := (&durableSeqApp{Ops: []string{"op-00"}}).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := &stateImage{ExecSeq: 1, Executed: []reqID{{client: "cli", seq: 1}}, App: blob}
+	// f+1 = 2 peers offer the same image; the second offer adopts it.
+	for _, from := range ids[:2] {
+		r.onStateRep(from, stateRepMsg{Replica: from, Snap: img})
+	}
+	if got := r.Executed(); got != 1 {
+		t.Fatalf("executed %d after adopting the image, want 1", got)
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("SubmitAsync's channel is still open after adopting an image that covers its request")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.waiters); n != 0 {
+		t.Fatalf("%d waiters left after the adoption", n)
+	}
+}

@@ -21,10 +21,9 @@ func TestLateTimerDoesNotTriggerSpuriousViewChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{Client: "cli", Seq: 1, Op: []byte("op-1")}
-	d := digestOf([]Request{req})
 	// Simulate the timer losing the race with execution: the AfterFunc
 	// fires late, after the request executed and Stop was called.
-	backup.onViewChangeTimeout(d, req)
+	backup.onViewChangeTimeout(req)
 	// A spurious view change would propagate within this window.
 	time.Sleep(100 * time.Millisecond)
 	for _, r := range c.replicas {

@@ -46,6 +46,9 @@ type Request struct {
 // Digest identifies a request batch.
 type Digest [32]byte
 
+// prePrepareMsg is one proposal: a batch bound to a sequence in a view.
+// It is also the prepared certificate a view change carries and the
+// executed entry state transfer serves, as in the paper.
 type prePrepareMsg struct {
 	View   uint64
 	Seq    uint64
@@ -69,23 +72,13 @@ type (
 
 type checkpointMsg struct {
 	Seq     uint64
-	State   Digest
 	Replica string
-}
-
-// preparedEntry carries a prepared batch inside a view-change message so
-// the new primary can re-propose it.
-type preparedEntry struct {
-	Seq    uint64
-	View   uint64
-	Digest Digest
-	Batch  []Request
 }
 
 type viewChangeMsg struct {
 	NewView  uint64
 	Stable   uint64
-	Prepared []preparedEntry
+	Prepared []prePrepareMsg // prepared certificates, re-proposed by the new primary
 	Replica  string
 	// Exec is the sender's executed floor. A recovered replica holds no
 	// prepared certificates below its snapshot floor (they were compacted
@@ -109,13 +102,6 @@ type stateReqMsg struct {
 	View uint64 // requester's view, so peers ahead reply even with no entries
 }
 
-// execEntry is one executed batch in a state-transfer reply.
-type execEntry struct {
-	Seq    uint64
-	Digest Digest
-	Batch  []Request
-}
-
 // stateImage is a full-state checkpoint offered in a state-transfer
 // reply when the sender's retained history no longer reaches the
 // requester's floor — a recovered replica only holds executed batches
@@ -131,7 +117,9 @@ type stateImage struct {
 }
 
 type stateRepMsg struct {
-	Entries []execEntry
+	// Entries are executed (or decided) batches. The receiver never reads
+	// an entry's View, so it is left zero.
+	Entries []prePrepareMsg
 	Snap    *stateImage
 	Replica string
 	// View is the sender's current view: state transfer doubles as view
@@ -192,20 +180,14 @@ type instState struct {
 	// the sequence — a cert reported only in the first view change after
 	// preparing would vanish if that view's re-proposal stalled, and the
 	// next primary would null-fill a sequence some replica already
-	// executed and acked.
-	certSet    bool
-	certView   uint64
-	certDigest Digest
-	certBatch  []Request
+	// executed and acked. Nil means no certificate.
+	cert *prePrepareMsg
 }
 
 // setCertLocked records (or refreshes, in a later view) the prepared
-// certificate for this instance.
-func (inst *instState) setCertLocked(view uint64) {
-	inst.certSet = true
-	inst.certView = view
-	inst.certDigest = inst.digest
-	inst.certBatch = inst.batch
+// certificate for this instance at seq.
+func (inst *instState) setCertLocked(view, seq uint64) {
+	inst.cert = &prePrepareMsg{View: view, Seq: seq, Digest: inst.digest, Batch: inst.batch}
 }
 
 // resetVotesLocked clears the per-view vote state on view entry while
@@ -235,7 +217,7 @@ type Replica struct {
 	stable     uint64 // last stable checkpoint
 	insts      map[uint64]*instState
 	executedR  map[reqID]bool // dedup of executed client requests
-	waiters    map[Digest][]chan struct{}
+	waiters    map[reqID][]chan struct{}
 	pending    []Request // primary: batch under construction
 	batchTmr   *time.Timer
 	ckpts      map[uint64]map[string]bool
@@ -243,13 +225,12 @@ type Replica struct {
 	inVC       bool
 	vcTarget   uint64 // highest view this replica has voted a view change for
 	vcSolo     int    // timeouts spent in a view change without f+1 support
-	vcTimers   map[Digest]*vcTimer
-	execLog    map[uint64]execEntry            // executed batches, served to restarted peers
-	execFloor  uint64                          // lowest seq execLog covers (recovery trims history)
-	stateVotes map[uint64]map[string]execEntry // state-transfer replies per seq, per sender
-	imgVotes   map[Digest]*imgVote             // state-image offers per image digest
-	viewClaims map[string]uint64               // views peers advertised in state replies (view sync)
-	macs       map[string]*peerMAC             // keyed MAC state per peer, derived once
+	vcTimers   map[reqID]*vcTimer
+	execLog    map[uint64]prePrepareMsg            // executed batches, served to restarted peers
+	stateVotes map[uint64]map[string]prePrepareMsg // state-transfer replies per seq, per sender
+	imgVotes   map[Digest]*imgVote                 // state-image offers per image digest
+	viewClaims map[string]uint64                   // views peers advertised in state replies (view sync)
+	macs       map[string]*peerMAC                 // keyed MAC state per peer, derived once
 
 	// Durability (nil log == in-memory mode; see durable.go). applying
 	// counts executions whose Applier call is in flight outside mu —
@@ -320,12 +301,12 @@ func newReplica(net *netsim.Network, id string, ids []string, f int, apply Appli
 		opts:       opts,
 		insts:      make(map[uint64]*instState),
 		executedR:  make(map[reqID]bool),
-		waiters:    make(map[Digest][]chan struct{}),
+		waiters:    make(map[reqID][]chan struct{}),
 		ckpts:      make(map[uint64]map[string]bool),
 		vcs:        make(map[uint64]map[string]viewChangeMsg),
-		vcTimers:   make(map[Digest]*vcTimer),
-		execLog:    make(map[uint64]execEntry),
-		stateVotes: make(map[uint64]map[string]execEntry),
+		vcTimers:   make(map[reqID]*vcTimer),
+		execLog:    make(map[uint64]prePrepareMsg),
+		stateVotes: make(map[uint64]map[string]prePrepareMsg),
 		macs:       pairMACs(id, ids, opts.AuthKey),
 	}, nil
 }
@@ -338,13 +319,6 @@ func (r *Replica) View() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.view
-}
-
-// Primary reports the current primary's id.
-func (r *Replica) Primary() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.primaryLocked(r.view)
 }
 
 func (r *Replica) primaryLocked(view uint64) string {
@@ -398,16 +372,16 @@ func (r *Replica) Submit(client string, clientSeq uint64, op []byte, timeout tim
 // before any of them commits.
 func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan struct{} {
 	req := Request{Client: client, Seq: clientSeq, Op: op}
-	d := digestOf([]Request{req})
+	id := idOf(req)
 	done := make(chan struct{})
 
 	r.mu.Lock()
-	if r.executedR[idOf(req)] {
+	if r.executedR[id] {
 		r.mu.Unlock()
 		close(done) // duplicate of an executed request
 		return done
 	}
-	r.waiters[d] = append(r.waiters[d], done)
+	r.waiters[id] = append(r.waiters[id], done)
 	// Arm the watchdog on the primary too: a primary that proposes into a
 	// view whose quorum has collapsed (e.g. enough backups are wedged in a
 	// view change nobody else joins) would otherwise stall the request
@@ -432,13 +406,13 @@ func (r *Replica) SubmitAsync(client string, clientSeq uint64, op []byte) <-chan
 // armViewChangeTimerLocked starts a timer that triggers a view change if
 // the request does not execute in time.
 func (r *Replica) armViewChangeTimerLocked(req Request) {
-	d := digestOf([]Request{req})
-	if _, ok := r.vcTimers[d]; ok {
+	id := idOf(req)
+	if _, ok := r.vcTimers[id]; ok {
 		return
 	}
 	vt := &vcTimer{req: req}
-	vt.tmr = time.AfterFunc(r.opts.ViewTimeout, func() { r.onViewChangeTimeout(d, req) })
-	r.vcTimers[d] = vt
+	vt.tmr = time.AfterFunc(r.opts.ViewTimeout, func() { r.onViewChangeTimeout(req) })
+	r.vcTimers[id] = vt
 }
 
 // onViewChangeTimeout fires when a watched request's timer expires. A
@@ -454,10 +428,11 @@ func (r *Replica) armViewChangeTimerLocked(req Request) {
 // primary to the next view; if this replica's vote is a singleton, the
 // vote was probably lost in a partition, so retransmit it instead of
 // climbing views nobody else wants.
-func (r *Replica) onViewChangeTimeout(d Digest, req Request) {
+func (r *Replica) onViewChangeTimeout(req Request) {
+	id := idOf(req)
 	r.mu.Lock()
-	delete(r.vcTimers, d)
-	if r.executedR[idOf(req)] {
+	delete(r.vcTimers, id)
+	if r.executedR[id] {
 		r.mu.Unlock()
 		return
 	}
@@ -694,7 +669,7 @@ func (r *Replica) maybeCommitLocked(seq uint64) {
 		return
 	}
 	inst.committed = true // locally "prepared"; send commit once
-	inst.setCertLocked(r.view)
+	inst.setCertLocked(r.view, seq)
 	// fsync point: the prepared certificate must be durable before the
 	// commit vote — a view change counts on recovered replicas still
 	// holding their certificates. On failure the replica stays silent.
@@ -706,7 +681,7 @@ func (r *Replica) maybeCommitLocked(seq uint64) {
 	r.broadcast(msgCommit, c)
 	r.mu.Lock()
 	inst.commits[r.id] = true
-	r.markDecidedLocked(inst)
+	r.markDecidedLocked(seq, inst)
 	r.maybeExecuteLocked()
 }
 
@@ -721,7 +696,7 @@ func (r *Replica) onCommit(c commitMsg) {
 		return
 	}
 	inst.commits[c.Replica] = true
-	r.markDecidedLocked(inst)
+	r.markDecidedLocked(c.Seq, inst)
 	r.maybeExecuteLocked()
 }
 
@@ -730,12 +705,12 @@ func (r *Replica) onCommit(c commitMsg) {
 // (not in maybeExecuteLocked) because instances above an execution gap
 // reach quorum without executing — exactly the ones that must survive a
 // view change and be servable to recovering peers.
-func (r *Replica) markDecidedLocked(inst *instState) {
+func (r *Replica) markDecidedLocked(seq uint64, inst *instState) {
 	if inst.prePrepared && len(inst.commits) >= r.commitQuorum() {
 		inst.decided = true
 		// A decided digest is final, so it is also a valid certificate
 		// even if this replica never reached its own prepare quorum.
-		inst.setCertLocked(r.view)
+		inst.setCertLocked(r.view, seq)
 	}
 }
 
@@ -753,37 +728,42 @@ func (r *Replica) maybeExecuteLocked() {
 	}
 }
 
-// executeInstanceLocked executes one batch at r.execSeq: it records the
-// instance as executed, appends to the exec log (served to restarted
-// peers), dedups against executed client requests, applies, and wakes
-// waiters. The mutex is released around the Applier call and re-held on
-// return. Both the normal commit path and state-transfer catch-up land
-// here, so a sequence can never execute twice.
-func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Request) {
+// markExecutedLocked is the execution bookkeeping shared by live
+// execution and WAL replay: it records the instance at seq as executed,
+// advances execSeq, appends to the exec log (served to restarted peers)
+// and marks the batch's client requests executed. It returns the
+// requests not executed before, the ones to apply.
+func (r *Replica) markExecutedLocked(seq uint64, digest Digest, batch []Request) []Request {
 	inst := r.instLocked(seq)
 	inst.executed = true
 	inst.prePrepared = true
 	inst.digest = digest
 	inst.batch = batch
 	r.execSeq = seq + 1
-	r.execLog[seq] = execEntry{Seq: seq, Digest: digest, Batch: batch}
+	r.execLog[seq] = prePrepareMsg{Seq: seq, Digest: digest, Batch: batch}
 	delete(r.stateVotes, seq)
-	// Dedup and record executed requests; wake waiters.
-	var wake []chan struct{}
 	fresh := batch[:0:0]
 	for _, req := range batch {
-		if r.executedR[idOf(req)] {
+		id := idOf(req)
+		if r.executedR[id] {
 			continue
 		}
-		r.executedR[idOf(req)] = true
+		r.executedR[id] = true
 		fresh = append(fresh, req)
-		d := digestOf([]Request{req})
-		wake = append(wake, r.waiters[d]...)
-		delete(r.waiters, d)
-		if vt, ok := r.vcTimers[d]; ok {
-			vt.tmr.Stop()
-			delete(r.vcTimers, d)
-		}
+	}
+	return fresh
+}
+
+// executeInstanceLocked executes one batch at r.execSeq: the shared
+// bookkeeping, then the journal record, the apply, the waiters' wake-up
+// and the checkpoint vote. The mutex is released around the Applier call
+// and re-held on return. Both the normal commit path and state-transfer
+// catch-up land here, so a sequence can never execute twice.
+func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Request) {
+	fresh := r.markExecutedLocked(seq, digest, batch)
+	var wake []chan struct{}
+	for _, req := range fresh {
+		wake = append(wake, r.settleLocked(idOf(req))...)
 	}
 	// fsync point: the executed batch (with its full request list — the
 	// dedup marks must replay identically) is journaled before any
@@ -819,6 +799,19 @@ func (r *Replica) executeInstanceLocked(seq uint64, digest Digest, batch []Reque
 		r.recordCheckpointLocked(ck) // own vote: never above execSeq
 	}
 	r.maybeSnapshotLocked(seq)
+}
+
+// settleLocked drops the waiters and the view-change timer of an
+// executed request and returns the waiters' channels for the caller to
+// close.
+func (r *Replica) settleLocked(id reqID) []chan struct{} {
+	wake := r.waiters[id]
+	delete(r.waiters, id)
+	if vt, ok := r.vcTimers[id]; ok {
+		vt.tmr.Stop()
+		delete(r.vcTimers, id)
+	}
+	return wake
 }
 
 // onCheckpoint counts a peer's checkpoint vote. A quorum that makes a
@@ -899,16 +892,16 @@ func (r *Replica) StartViewChange(newView uint64) {
 // primary null-fills every gap below its NextSeq, and a committed
 // sequence must appear in some certificate of any 2f+1 view-change
 // quorum or it could be overwritten with a no-op. Certificates come
-// from the sticky cert fields, not the per-view vote state: votes are
-// wiped on every view entry, and a certificate must keep being
-// reported for as long as a failed view-change cascade can keep asking.
-func (r *Replica) preparedSetLocked() []preparedEntry {
-	var out []preparedEntry
+// from the sticky cert, not the per-view vote state: votes are wiped on
+// every view entry, and a certificate must keep being reported for as
+// long as a failed view-change cascade can keep asking.
+func (r *Replica) preparedSetLocked() []prePrepareMsg {
+	var out []prePrepareMsg
 	for seq, inst := range r.insts {
-		if seq < r.stable || !inst.certSet {
+		if seq < r.stable || inst.cert == nil {
 			continue
 		}
-		out = append(out, preparedEntry{Seq: seq, View: inst.certView, Digest: inst.certDigest, Batch: inst.certBatch})
+		out = append(out, *inst.cert)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -956,7 +949,7 @@ func (r *Replica) onViewChange(vc viewChangeMsg) {
 	// hold no certificates for snapshotted history — so the floor also
 	// lifts base: those sequences are served by state transfer, never
 	// filled.
-	adopt := map[uint64]preparedEntry{}
+	adopt := map[uint64]prePrepareMsg{}
 	base := r.stable
 	if r.execSeq > base {
 		base = r.execSeq
@@ -969,13 +962,13 @@ func (r *Replica) onViewChange(vc viewChangeMsg) {
 		if v.Exec > base {
 			base = v.Exec
 		}
-		for _, pe := range v.Prepared {
-			cur, ok := adopt[pe.Seq]
-			if !ok || cur.View < pe.View {
-				adopt[pe.Seq] = pe
+		for _, pp := range v.Prepared {
+			cur, ok := adopt[pp.Seq]
+			if !ok || cur.View < pp.View {
+				adopt[pp.Seq] = pp
 			}
-			if pe.Seq+1 > maxSeq {
-				maxSeq = pe.Seq + 1
+			if pp.Seq+1 > maxSeq {
+				maxSeq = pp.Seq + 1
 			}
 		}
 	}
@@ -983,11 +976,12 @@ func (r *Replica) onViewChange(vc viewChangeMsg) {
 		maxSeq = base
 	}
 	nv := newViewMsg{View: vc.NewView, NextSeq: maxSeq}
-	for _, pe := range adopt {
-		if pe.Seq < base {
+	for _, pp := range adopt {
+		if pp.Seq < base {
 			continue // covered by a stable checkpoint; state transfer serves it
 		}
-		nv.PrePrepares = append(nv.PrePrepares, prePrepareMsg{View: vc.NewView, Seq: pe.Seq, Digest: pe.Digest, Batch: pe.Batch})
+		pp.View = vc.NewView
+		nv.PrePrepares = append(nv.PrePrepares, pp)
 	}
 	for seq := base; seq < maxSeq; seq++ {
 		if _, ok := adopt[seq]; ok {
@@ -1115,10 +1109,10 @@ func (r *Replica) enterViewLocked(view, nextSeq uint64) []Request {
 	// further view changes. Pending requests get a full fresh timeout
 	// under the new primary; executed ones are dropped outright.
 	var rearm []Request
-	for d, vt := range r.vcTimers {
+	for id, vt := range r.vcTimers {
 		vt.tmr.Stop()
-		delete(r.vcTimers, d)
-		if !r.executedR[idOf(vt.req)] {
+		delete(r.vcTimers, id)
+		if !r.executedR[id] {
 			rearm = append(rearm, vt.req)
 		}
 	}
@@ -1143,9 +1137,9 @@ func (r *Replica) Crash() error {
 		r.batchTmr.Stop()
 		r.batchTmr = nil
 	}
-	for d, vt := range r.vcTimers {
+	for id, vt := range r.vcTimers {
 		vt.tmr.Stop()
-		delete(r.vcTimers, d)
+		delete(r.vcTimers, id)
 	}
 	r.pending = nil
 	r.inVC = false
@@ -1187,10 +1181,10 @@ func (r *Replica) Sync() {
 	var revotes []commitMsg
 	for seq := r.execSeq; seq < r.nextSeq; seq++ {
 		inst, ok := r.insts[seq]
-		if !ok || inst.executed || !inst.certSet {
+		if !ok || inst.executed || inst.cert == nil {
 			continue
 		}
-		revotes = append(revotes, commitMsg{View: r.view, Seq: seq, Digest: inst.certDigest, Replica: r.id})
+		revotes = append(revotes, commitMsg{View: r.view, Seq: seq, Digest: inst.cert.Digest, Replica: r.id})
 		inst.commits[r.id] = true
 	}
 	view := r.view
@@ -1223,7 +1217,7 @@ func (r *Replica) onStateReq(from string, s stateReqMsg) {
 	// the f+1-sender threshold even when few peers retain a given range.
 	for seq, inst := range r.insts {
 		if seq >= s.Have && inst.decided && !inst.executed {
-			rep.Entries = append(rep.Entries, execEntry{Seq: seq, Digest: inst.digest, Batch: inst.batch})
+			rep.Entries = append(rep.Entries, prePrepareMsg{Seq: seq, Digest: inst.digest, Batch: inst.batch})
 		}
 	}
 	// Every up-to-date replica offers its state image alongside whatever
@@ -1301,7 +1295,7 @@ func (r *Replica) onStateRep(from string, s stateRepMsg) {
 			continue
 		}
 		if r.stateVotes[e.Seq] == nil {
-			r.stateVotes[e.Seq] = make(map[string]execEntry)
+			r.stateVotes[e.Seq] = make(map[string]prePrepareMsg)
 		}
 		r.stateVotes[e.Seq][from] = e
 	}
@@ -1311,7 +1305,7 @@ func (r *Replica) onStateRep(from string, s stateRepMsg) {
 	for {
 		votes := r.stateVotes[r.execSeq]
 		counts := make(map[Digest]int)
-		var pick *execEntry
+		var pick *prePrepareMsg
 		for _, e := range votes {
 			counts[e.Digest]++
 			if counts[e.Digest] >= r.f+1 {
@@ -1372,7 +1366,6 @@ func (r *Replica) adoptImageLocked(img *stateImage) {
 		return // refuse the image; entry-based transfer may still work
 	}
 	r.execSeq = img.ExecSeq
-	r.execFloor = img.ExecSeq
 	if r.nextSeq < img.ExecSeq {
 		r.nextSeq = img.ExecSeq
 	}
@@ -1383,7 +1376,7 @@ func (r *Replica) adoptImageLocked(img *stateImage) {
 	for _, k := range img.Executed {
 		r.executedR[k] = true
 	}
-	r.execLog = make(map[uint64]execEntry)
+	r.execLog = make(map[uint64]prePrepareMsg)
 	for seq := range r.insts {
 		if seq < r.execSeq {
 			delete(r.insts, seq)
@@ -1394,10 +1387,20 @@ func (r *Replica) adoptImageLocked(img *stateImage) {
 			delete(r.stateVotes, seq)
 		}
 	}
-	for d, vt := range r.vcTimers {
-		if r.executedR[idOf(vt.req)] {
-			vt.tmr.Stop()
-			delete(r.vcTimers, d)
+	// Settle every request the image covers: its timer stops and its
+	// waiters wake, as if this replica had executed it.
+	for id := range r.vcTimers {
+		if r.executedR[id] {
+			for _, ch := range r.settleLocked(id) {
+				close(ch)
+			}
+		}
+	}
+	for id := range r.waiters {
+		if r.executedR[id] {
+			for _, ch := range r.settleLocked(id) {
+				close(ch)
+			}
 		}
 	}
 	r.imgVotes = nil

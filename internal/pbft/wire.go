@@ -33,11 +33,10 @@ var msgKinds = map[string]byte{
 
 // Minimum encoded sizes, for codec.Reader.Count.
 const (
-	minRequestSize  = 3               // empty client, seq, empty op
-	minPreparedSize = 3 + sha256.Size // seq, view, digest, empty batch; also a pre-prepare
-	minExecSize     = 2 + sha256.Size // seq, digest, empty batch
-	minReqIDSize    = 2               // empty client, seq
-	macSize         = sha256.Size     // envelope tag
+	minRequestSize    = 3               // empty client, seq, empty op
+	minPrePrepareSize = 3 + sha256.Size // view, seq, digest, empty batch
+	minReqIDSize      = 2               // empty client, seq
+	macSize           = sha256.Size     // envelope tag
 )
 
 // wireMsg is a message body the replica can encode.
@@ -199,28 +198,12 @@ func (m *voteMsg) decode(rd *codec.Reader) {
 
 func (m checkpointMsg) encode(w *codec.Writer) {
 	w.Uvarint(m.Seq)
-	w.Digest(m.State)
 	w.String(m.Replica)
 }
 
 func (m *checkpointMsg) decode(rd *codec.Reader) {
 	m.Seq = rd.Uvarint()
-	m.State = rd.Digest()
 	m.Replica = rd.String()
-}
-
-func (pe *preparedEntry) encode(w *codec.Writer) {
-	w.Uvarint(pe.Seq)
-	w.Uvarint(pe.View)
-	w.Digest(pe.Digest)
-	encodeBatch(w, pe.Batch)
-}
-
-func (pe *preparedEntry) decode(rd *codec.Reader) {
-	pe.Seq = rd.Uvarint()
-	pe.View = rd.Uvarint()
-	pe.Digest = rd.Digest()
-	pe.Batch = decodeBatch(rd)
 }
 
 func (m viewChangeMsg) encode(w *codec.Writer) {
@@ -228,7 +211,7 @@ func (m viewChangeMsg) encode(w *codec.Writer) {
 	w.Uvarint(m.Stable)
 	w.Uvarint(m.Exec)
 	w.String(m.Replica)
-	codec.WriteList(w, m.Prepared, (*preparedEntry).encode)
+	codec.WriteList(w, m.Prepared, (*prePrepareMsg).encode)
 }
 
 func (m *viewChangeMsg) decode(rd *codec.Reader) {
@@ -236,7 +219,7 @@ func (m *viewChangeMsg) decode(rd *codec.Reader) {
 	m.Stable = rd.Uvarint()
 	m.Exec = rd.Uvarint()
 	m.Replica = rd.String()
-	m.Prepared = codec.ReadList(rd, minPreparedSize, (*preparedEntry).decode)
+	m.Prepared = codec.ReadList(rd, minPrePrepareSize, (*prePrepareMsg).decode)
 }
 
 func (m newViewMsg) encode(w *codec.Writer) {
@@ -248,7 +231,7 @@ func (m newViewMsg) encode(w *codec.Writer) {
 func (m *newViewMsg) decode(rd *codec.Reader) {
 	m.View = rd.Uvarint()
 	m.NextSeq = rd.Uvarint()
-	m.PrePrepares = codec.ReadList(rd, minPreparedSize, (*prePrepareMsg).decode)
+	m.PrePrepares = codec.ReadList(rd, minPrePrepareSize, (*prePrepareMsg).decode)
 }
 
 func (m stateReqMsg) encode(w *codec.Writer) {
@@ -273,22 +256,10 @@ func (img *stateImage) decode(rd *codec.Reader) {
 	img.App = rd.Blob()
 }
 
-func (e *execEntry) encode(w *codec.Writer) {
-	w.Uvarint(e.Seq)
-	w.Digest(e.Digest)
-	encodeBatch(w, e.Batch)
-}
-
-func (e *execEntry) decode(rd *codec.Reader) {
-	e.Seq = rd.Uvarint()
-	e.Digest = rd.Digest()
-	e.Batch = decodeBatch(rd)
-}
-
 func (m stateRepMsg) encode(w *codec.Writer) {
 	w.String(m.Replica)
 	w.Uvarint(m.View)
-	codec.WriteList(w, m.Entries, (*execEntry).encode)
+	codec.WriteList(w, m.Entries, (*prePrepareMsg).encode)
 	w.Bool(m.Snap != nil)
 	if m.Snap != nil {
 		m.Snap.encode(w)
@@ -298,7 +269,7 @@ func (m stateRepMsg) encode(w *codec.Writer) {
 func (m *stateRepMsg) decode(rd *codec.Reader) {
 	m.Replica = rd.String()
 	m.View = rd.Uvarint()
-	m.Entries = codec.ReadList(rd, minExecSize, (*execEntry).decode)
+	m.Entries = codec.ReadList(rd, minPrePrepareSize, (*prePrepareMsg).decode)
 	if rd.Bool() {
 		m.Snap = new(stateImage)
 		m.Snap.decode(rd)

@@ -30,8 +30,8 @@ func testMessages() map[string]wireCodec {
 		msgPrePrepare: &prePrepareMsg{View: 3, Seq: 129, Digest: d, Batch: testBatch()},
 		msgPrepare:    &voteMsg{View: 3, Seq: 129, Digest: d, Replica: "p1"},
 		msgCommit:     &voteMsg{View: 3, Seq: 300, Digest: d, Replica: "p2"},
-		msgCheckpoint: &checkpointMsg{Seq: 256, State: d, Replica: "p3"},
-		msgViewChange: &viewChangeMsg{NewView: 4, Stable: 128, Exec: 140, Replica: "p1", Prepared: []preparedEntry{
+		msgCheckpoint: &checkpointMsg{Seq: 256, Replica: "p3"},
+		msgViewChange: &viewChangeMsg{NewView: 4, Stable: 128, Exec: 140, Replica: "p1", Prepared: []prePrepareMsg{
 			{Seq: 140, View: 3, Digest: d, Batch: testBatch()},
 			{Seq: 141, View: 2, Digest: digestOf(nil)},
 		}},
@@ -41,7 +41,7 @@ func testMessages() map[string]wireCodec {
 		}},
 		msgStateReq: &stateReqMsg{Have: 17, View: 2},
 		msgStateRep: &stateRepMsg{Replica: "p0", View: 5,
-			Entries: []execEntry{{Seq: 17, Digest: d, Batch: testBatch()}, {Seq: 18, Digest: digestOf(nil)}},
+			Entries: []prePrepareMsg{{Seq: 17, Digest: d, Batch: testBatch()}, {Seq: 18, Digest: digestOf(nil)}},
 			Snap: &stateImage{ExecSeq: 19, App: []byte("app-state"), Executed: []reqID{
 				{client: "a", seq: 1}, {client: "a", seq: 2}, {client: "b", seq: 1},
 			}},
